@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
             # numerical guard violations propagate the module's message
             print(f"{args.subcommand}: error: {exc}", file=sys.stderr)
             return 1

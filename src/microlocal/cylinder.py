@@ -31,6 +31,8 @@ import math
 import numpy as np
 from scipy.special import exp1, gamma as sp_gamma, ive
 
+from .quadrature import gauss_panels
+
 __all__ = [
     "sphere_area",
     "eval_mn",
@@ -215,35 +217,6 @@ def radial_s(v: np.ndarray) -> np.ndarray:
     return np.sqrt(-vsq)
 
 
-def _gauss_panels(a, b, n_panels, order=12):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    xs = []
-    ws = []
-    for i in range(n_panels):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        xs.append(mid + half * nodes)
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _log_panels(r_max, n_decades=9, per_decade=3, order=12):
-    """Panels geometrically refined toward r = 0."""
-    edges = [0.0]
-    scale = r_max * 2.0 ** (-n_decades * per_decade)
-    pts = [scale * 2.0 ** (k / 1.0) for k in range(n_decades * per_decade + 1)]
-    edges += pts
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    xs, ws = [], []
-    for i in range(len(edges) - 1):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        xs.append(mid + half * nodes)
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def _szego1_batch(v: np.ndarray) -> np.ndarray:
     """n = 1 kernel via the two-sided exponential split.
 
@@ -257,7 +230,7 @@ def _szego1_batch(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     vmax = float(np.max(np.abs(v.real))) if v.size else 1.0
     n_panels = max(24, int(3 + vmax * 12.0 / (2 * math.pi)))
-    xi, w = _gauss_panels(0.0, 12.0, n_panels)
+    xi, w = gauss_panels(np.linspace(0.0, 12.0, n_panels + 1), 12)
     B = 1.0 / (2.0 * np.cosh(2.0 * xi))
     right = B - np.exp(-2.0 * xi)
     E = np.exp(1j * np.outer(v, xi))
@@ -274,7 +247,7 @@ def _szego2_smalls(s: np.ndarray) -> np.ndarray:
     needs only a short radial window and no subtraction.
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
-    r, w = _gauss_panels(1e-9, 40.0, 120)
+    r, w = gauss_panels(np.linspace(1e-9, 40.0, 121), 12)
     rs = np.outer(s, r)
     Q = ive(0, rs) * np.exp(-1j * rs.imag) / ive(0, 2.0 * r)[None, :]
     integrand = r[None, :] * np.exp(-np.outer(2.0 - s, r)) * Q
@@ -314,10 +287,11 @@ def _szego2_subtracted(s: np.ndarray) -> np.ndarray:
         osc = float(np.max(np.abs(u0.imag)))
         # log-graded panels toward 0 plus enough panels for the oscillation
         n_osc = int(r_max * osc / 6.5)
-        r_log, w_log = _log_panels(min(r_max, 4.0), per_decade=2, order=10)
+        log_edges = min(r_max, 4.0) * 2.0 ** np.arange(-18.0, 1.0)
+        r_log, w_log = gauss_panels(np.concatenate([[0.0], log_edges]), 10)
         if r_max > 4.0:
             n_pan = max(6, min(n_osc, 3000), int(r_max / 30.0))
-            r_lin, w_lin = _gauss_panels(4.0, r_max, n_pan, order=12)
+            r_lin, w_lin = gauss_panels(np.linspace(4.0, r_max, n_pan + 1), 12)
             r = np.concatenate([r_log, r_lin])
             w = np.concatenate([w_log, w_lin])
         else:
@@ -434,25 +408,19 @@ def szego_fio_form(n: int, z, w, J: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _graded_line(center: float, inner: float, outer: float, n_coarse: int,
-                 order: int = 10) -> tuple:
+def _graded_edges(inner: float, outer: float) -> list:
+    """Panel edges 0, inner, 1.8 inner, (1.8)^2 inner, ..., outer."""
+    edges = [0.0, inner]
+    while edges[-1] < outer:
+        edges.append(min(edges[-1] * 1.8, outer))
+    return edges
+
+
+def _graded_line(center: float, inner: float, outer: float, order: int = 10) -> tuple:
     """1D nodes on [center-outer, center+outer], refined toward the center."""
-    edges = [inner]
-    e = inner
-    while e < outer:
-        e = min(e * 1.8, outer)
-        edges.append(e)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    xs, ws = [], []
-    segs = [(0.0, inner)] + [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    for a, b in segs:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pan_x = mid + half * nodes
-        pan_w = half * weights
-        for sgn in (+1.0, -1.0):
-            xs.append(center + sgn * pan_x)
-            ws.append(pan_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    p, w = gauss_panels(_graded_edges(inner, outer), order)
+    p, w = p.reshape(-1, order), w.reshape(-1, order)
+    return np.stack([center + p, center - p], axis=1).ravel(), np.stack([w, w], axis=1).ravel()
 
 
 def _kernel_decay_rate(n: int) -> float:
@@ -515,8 +483,7 @@ def reproduce_test(n: int, zeta, points, tol: float | None = None,
 
 def _reproduce_1d(zeta, z, x, x_cut, rate, nodes_scale):
     inner = 0.002
-    xs, ws = _graded_line(float(x[0]), inner, x_cut, n_coarse=0,
-                          order=max(10, int(12 * nodes_scale)))
+    xs, ws = _graded_line(float(x[0]), inner, x_cut, order=max(10, int(12 * nodes_scale)))
     total = 0.0 + 0.0j
     for omega_p in (+1.0, -1.0):
         w_pts = xs[None, :] + 1j * omega_p
@@ -532,9 +499,7 @@ def _reproduce_2d(zeta, z, x, omega, beta, x_cut, rate, nodes_scale):
     # polar grid in the x'-plane around x, graded radially toward 0
     n_ang = max(24, int(24 * nodes_scale))
     n_phi = max(26, int(26 * nodes_scale))
-    r_nodes, r_wts = _graded_line(0.0, 0.05, x_cut, 0, order=max(6, int(6 * nodes_scale)))
-    keep = r_nodes > 0
-    r_nodes, r_wts = r_nodes[keep], r_wts[keep]
+    r_nodes, r_wts = gauss_panels(_graded_edges(0.05, x_cut), max(6, int(6 * nodes_scale)))
     psi = 2.0 * math.pi * np.arange(n_ang) / n_ang
     w_psi = 2.0 * math.pi / n_ang
     phi0 = math.atan2(omega[1], omega[0])

@@ -21,7 +21,7 @@ structurally equal trees.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -436,18 +436,21 @@ def diff(e: Expr, i: int) -> Expr:
     raise ValueError(f"unknown node kind {k!r}")
 
 
-def diff_multi(e: Expr, alpha: Iterable[int]) -> Expr:
-    """Iterated derivative: alpha[i] derivatives in variable i."""
-    out = e
-    for i, a in enumerate(alpha):
-        for _ in range(int(a)):
-            out = diff(out, i)
-            if out.is_zero():
-                return ZERO
-    return out
-
-
 # -- substitution and conjugation ---------------------------------------------
+
+
+_CTORS = {"add": add, "mul": mul, "div": div, "norm": norm, "exp": exp, "log": log,
+          "sin": sin, "cos": cos, "sinh": sinh, "cosh": cosh}
+
+
+def _rebuild(e: Expr, ch: tuple) -> Expr:
+    """Node ``e`` rebuilt over the new children ``ch`` by its smart constructor."""
+    k = e.kind
+    if k == "powi":
+        return powi(ch[0], e.payload)
+    if k == "powr":
+        return powr(ch[0], e.payload)
+    return _CTORS[k](*ch)
 
 
 def subst(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
@@ -457,20 +460,7 @@ def subst(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
         return e
     if k == "var":
         return mapping.get(e.payload, e)
-    ch = tuple(subst(c, mapping) for c in e.children)
-    if k == "add":
-        return add(*ch)
-    if k == "mul":
-        return mul(*ch)
-    if k == "div":
-        return div(*ch)
-    if k == "powi":
-        return powi(ch[0], e.payload)
-    if k == "powr":
-        return powr(ch[0], e.payload)
-    if k == "norm":
-        return norm(*ch)
-    return {"exp": exp, "log": log, "sin": sin, "cos": cos, "sinh": sinh, "cosh": cosh}[k](ch[0])
+    return _rebuild(e, tuple(subst(c, mapping) for c in e.children))
 
 
 def conj(e: Expr) -> Expr:
@@ -480,20 +470,7 @@ def conj(e: Expr) -> Expr:
         return const(e.payload.conjugate())
     if k == "var":
         return e
-    ch = tuple(conj(c) for c in e.children)
-    if k == "add":
-        return add(*ch)
-    if k == "mul":
-        return mul(*ch)
-    if k == "div":
-        return div(*ch)
-    if k == "powi":
-        return powi(ch[0], e.payload)
-    if k == "powr":
-        return powr(ch[0], e.payload)
-    if k == "norm":
-        return norm(*ch)
-    return {"exp": exp, "log": log, "sin": sin, "cos": cos, "sinh": sinh, "cosh": cosh}[k](ch[0])
+    return _rebuild(e, tuple(conj(c) for c in e.children))
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import gauss_panels
+
 __all__ = [
     "fbi_phase",
     "fbi_kernel",
@@ -84,17 +86,11 @@ def fbi_kernel_t_quadrature(n: int, x, omega, y, T: float | None = None,
         T = 40.0 / phi.imag
     total_phase = abs(phi.real) * T + phi.imag * T
     n_panels = max(40, int(total_phase / (2.0 * math.pi) * nodes_per_period / 12.0))
-    nodes, weights = np.polynomial.legendre.leggauss(12)
     # dyadic grading toward t = 0 resolves the fractional power t^{(n+1)/4}
     graded = T * 2.0 ** (-np.arange(44, dtype=float))
     edges = np.unique(np.concatenate([[0.0], graded, np.linspace(0.0, T, n_panels + 1)]))
-    acc = 0.0 + 0.0j
-    for i in range(len(edges) - 1):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        t = mid + half * nodes
-        acc += np.sum(np.exp(1j * t * phi) * t ** ((n + 1) / 4.0) * weights) * half
-    return complex(acc)
+    t, w = gauss_panels(edges, 12)
+    return complex(np.sum(np.exp(1j * t * phi) * t ** ((n + 1) / 4.0) * w))
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +194,14 @@ def fbi_transform(u: PiecewiseFunction, points, n: int = 1,
     """
     if n != 1:
         raise ValueError("transform quadrature implemented in 1D")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
     out = np.zeros(len(points), dtype=complex)
     for ip, (x, omega) in enumerate(points):
         xv = float(np.asarray(x).reshape(-1)[0])
         acc = 0.0 + 0.0j
         for a, b, f in u.pieces:
-            edges = _piece_panels(a, b, xv, h_min, per_unit)
-            for i in range(len(edges) - 1):
-                mid = 0.5 * (edges[i] + edges[i + 1])
-                half = 0.5 * (edges[i + 1] - edges[i])
-                y = mid + half * nodes
-                k = fbi_kernel(1, [xv], [omega], y.reshape(1, -1))
-                acc += np.sum(k * f(y) * weights) * half
+            y, w = gauss_panels(_piece_panels(a, b, xv, h_min, per_unit), order)
+            k = fbi_kernel(1, [xv], [omega], y.reshape(1, -1))
+            acc += np.sum(k * f(y) * w)
         out[ip] = acc
     return out
 
@@ -221,20 +212,13 @@ def fiber_integral(u: PiecewiseFunction, x, omega, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     xv = float(np.asarray(x).reshape(-1)[0])
     om = float(np.asarray(omega).reshape(-1)[0])
-    nodes, weights = np.polynomial.legendre.leggauss(order)
     t_max = float(np.max(t_grid))
     out = np.zeros(t_grid.shape, dtype=complex)
     for a, b, f in u.pieces:
-        span = b - a
-        n_panels = max(4, int(span * t_max / (2.0 * math.pi) * 1.5) + 4)
-        edges = np.linspace(a, b, n_panels + 1)
-        for i in range(n_panels):
-            mid = 0.5 * (edges[i] + edges[i + 1])
-            half = 0.5 * (edges[i + 1] - edges[i])
-            y = mid + half * nodes
-            phi = (xv - y) * om + 0.5j * (xv - y) ** 2
-            vals = f(y) * weights
-            out += half * (np.exp(1j * np.multiply.outer(t_grid, phi)) @ vals)
+        n_panels = max(4, int((b - a) * t_max / (2.0 * math.pi) * 1.5) + 4)
+        y, w = gauss_panels(np.linspace(a, b, n_panels + 1), order)
+        phi = (xv - y) * om + 0.5j * (xv - y) ** 2
+        out += np.exp(1j * np.multiply.outer(t_grid, phi)) @ (f(y) * w)
     return out
 
 

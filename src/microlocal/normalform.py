@@ -45,6 +45,7 @@ import numpy as np
 from . import expr as ex
 from .jets import jet_batch_from_expr
 from .multiindex import factorial_multi, multi_indices
+from .quadrature import gauss_panels
 
 __all__ = [
     "model_symbol",
@@ -91,9 +92,7 @@ def solve_order0(r0: ex.Expr, quad_order: int = 12) -> ex.Expr:
     characteristic path integral; exact for polynomial r0 of t-degree below
     2 * quad_order along the path.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    tau = 0.5 * (nodes + 1.0)
-    wts = 0.5 * weights
+    tau, wts = gauss_panels([0.0, 1.0], quad_order)
     xj, y1, xij, eta = ex.var(VX), ex.var(VY), ex.var(VXI), ex.var(VETA)
     terms = []
     for tq, wq in zip(tau, wts):

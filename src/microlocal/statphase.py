@@ -31,6 +31,7 @@ import numpy as np
 from . import expr as ex
 from .jets import gradient_norms, jet_batch_from_expr, jet_from_expr
 from .multiindex import factorial_multi, index_of, multi_indices
+from .quadrature import gauss_panels
 from .symbols import FormalSymbol
 
 __all__ = [
@@ -113,26 +114,14 @@ def gaussian_expansion(u: ex.Expr, d: int, lam: float, N: int) -> GaussianExpans
 # ---------------------------------------------------------------------------
 
 
-def _gauss_panels(a: float, b: float, n_panels: int, order: int = 16):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    xs, ws = [], []
-    for i in range(n_panels):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        xs.append(mid + half * nodes)
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def _ball_quad_value(u: ex.Expr, d: int, lam: float, radius: float,
                      n_rad: int, n_ang: int) -> complex:
     if d == 1:
-        x, w = _gauss_panels(-radius, radius, n_rad)
+        x, w = gauss_panels(np.linspace(-radius, radius, n_rad + 1), 16)
         vals = ex.evaluate(u, [x]) * np.exp(-lam * x**2)
         return complex(np.sum(vals * w))
     if d == 2:
-        r, wr = _gauss_panels(0.0, radius, n_rad)
+        r, wr = gauss_panels(np.linspace(0.0, radius, n_rad + 1), 16)
         th = 2.0 * np.pi * np.arange(n_ang) / n_ang
         wth = 2.0 * np.pi / n_ang
         R, T = np.meshgrid(r, th, indexing="ij")
@@ -142,8 +131,8 @@ def _ball_quad_value(u: ex.Expr, d: int, lam: float, radius: float,
         g = np.exp(-lam * r**2) * r
         return complex(np.sum((vals * wth).sum(axis=1) * g * wr))
     if d == 3:
-        r, wr = _gauss_panels(0.0, radius, n_rad)
-        ct, wct = np.polynomial.legendre.leggauss(n_ang)
+        r, wr = gauss_panels(np.linspace(0.0, radius, n_rad + 1), 16)
+        ct, wct = gauss_panels([-1.0, 1.0], n_ang)
         ph = 2.0 * np.pi * np.arange(n_ang) / n_ang
         wph = 2.0 * np.pi / n_ang
         st = np.sqrt(1.0 - ct**2)

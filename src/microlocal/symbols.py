@@ -436,7 +436,10 @@ class SqrtResult:
 
 
 def moyal_sqrt(a: FormalSymbol, K: int, box, grid_n: int = 9) -> SqrtResult:
-    """Symbol b with b* # b = a up to order K.
+    """Symbol b with b* # b = a up to order K, for self-adjoint a (a* = a).
+
+    b* # b is always formally self-adjoint, so for any other a the identity
+    cannot hold.  The precondition is not checked here.
 
     Construction: b0 = pointwise sqrt(a_0), r = (b0*)^#-1 # a # b0^#-1 - 1,
     then b = sqrt(1+r) # b0 with the square root given by the binomial Moyal

@@ -109,6 +109,16 @@ def test_main_config_error(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_main_arithmetic_error(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("u = (exp (* 1000 (v 0)))\n")
+    rc = main(["run", "statphase-cert", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("statphase-cert: error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_fbi_samples_file(tmp_path):
     import numpy as np
 

@@ -251,7 +251,7 @@ def test_antiholomorphic_diagnostic():
 
     x0, beta = 0.0, 0.99
     z = complex(x0, beta)
-    xs, ws = _graded_line(x0, 0.002, 40.0, 0, order=12)
+    xs, ws = _graded_line(x0, 0.002, 40.0, order=12)
     responses = []
     for zeta in (0.5, 2.0):
         total = 0.0 + 0.0j

@@ -131,6 +131,34 @@ def test_fiber_integral_matches_kernel_route():
     assert np.max(np.abs(F1 - F2) / np.abs(F1)) <= 1e-10
 
 
+def _fiber_integral_panel_loop(u, xv, om, t_grid, order=12):
+    # reference: per-panel accumulation, the summation order before the
+    # per-piece matmul
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    out = np.zeros(t_grid.shape, dtype=complex)
+    for a, b, f in u.pieces:
+        n_panels = max(4, int((b - a) * t_grid.max() / (2.0 * math.pi) * 1.5) + 4)
+        edges = np.linspace(a, b, n_panels + 1)
+        for i in range(n_panels):
+            mid = 0.5 * (edges[i] + edges[i + 1])
+            half = 0.5 * (edges[i + 1] - edges[i])
+            y = mid + half * nodes
+            phi = (xv - y) * om + 0.5j * (xv - y) ** 2
+            out += half * (np.exp(1j * np.multiply.outer(t_grid, phi)) @ (f(y) * weights))
+    return out
+
+
+@pytest.mark.parametrize("name", ["heaviside", "abs", "bump", "gaussian"])
+def test_fiber_integral_matches_panel_loop(name):
+    # only the summation order differs, so agreement is to rounding
+    u = builtin_function(name)
+    t = np.geomspace(10.0, 80.0, 50)
+    for xv, om in [(0.0, 1.0), (0.0, -1.0), (0.5, 1.0), (1.5, 1.0)]:
+        F = fiber_integral(u, xv, om, t)
+        ref = _fiber_integral_panel_loop(u, xv, om, t)
+        assert np.max(np.abs(F - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_probe_heaviside_jump_polynomial():
     u = builtin_function("heaviside")
     for om in (+1.0, -1.0):

@@ -21,20 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
+from .acceptance import (TOLERANCES, borel_realisation_gap, mn_fit_verdict, verify_all,
+                         worst_transport_residual)
 from .reports import write_csv, write_json
-
-# each experiment: anchor is a self-describing formula for the manifest
-_ANCHORS = {
-    "mn-asym": "large-r expansion of e^{-r} m_n(r), m_n(z) = int_{S^{n-1}} e^{z.y} dy",
-    "szego-reproduce": "reproducing identity f(z) = int K(z,w) f(w) dw on R^n x S^{n-1}",
-    "szego-fio": "kernel versus fiber-integral model int_0^oo e^{t(s-2)} b(t) t^{n-1} dt",
-    "moyal-check": "Op(a)Op(b) = Op(a#b) with (a#b)_k = sum (-i)^n/beta! d_xi^beta a_l d_x^beta b_{k-n-l}",
-    "borel-demo": "lowest-term summation a = sum_l a_l (1 - chi_{l+1}(c|theta|/(l+1)))",
-    "statphase-cert": "int e^{-lam y^2} u = pi^{d/2} lam^{-d/2} sum_j Lap^j u(0)/((4 lam)^j j!) + remainder",
-    "fbi-wavefront": "decay dichotomy of F(t) = int e^{it((x-y).w + i|x-y|^2/2)} u(y) dy",
-    "normalform-demo": "transport recursion i b^(n+1) - eta d_xi b^(n) + n d_y b^(n-1) = g^(n)",
-    "stability-sweep": "jet-norm stability C(b_k,k) <= C(g_k,k) for rho >= 6 (3/2)^m",
-}
 
 
 class ConfigError(ValueError):
@@ -96,8 +85,7 @@ def _run_mn_asym(params, out, seed):
         header.extend([f"partial_J{j}", f"residual_J{j}"])
     write_csv(out / "mn_asym.csv", header, rows)
     fit = fit_mn_remainder(n, J, r)
-    passed = (fit["fit_quality"] <= 0.25) if fit["n_samples"] > 0 \
-        else bool(np.max(fit["residuals"][-1]) <= 1e-12)
+    passed, _ = mn_fit_verdict(fit)
     write_json(out / "mn_asym_fit.json", {
         "n": n, "J": J, "C": fit["C"], "rho": fit["rho"],
         "fit_quality": fit["fit_quality"], "n_samples": fit["n_samples"],
@@ -152,7 +140,8 @@ def _run_szego_fio(params, out, seed):
     ratio = vals[1] / vals[0]
     write_csv(out / "szego_fio.csv",
               ["dist", "rel_diff", "im_psi", "kernel_re", "model_re"], rows)
-    passed = rows[0][1] <= 0.05 and abs(ratio / 2.0**n - 1.0) <= 0.1
+    passed = (rows[0][1] <= TOLERANCES["rel_diff"]
+              and abs(ratio / 2.0**n - 1.0) <= TOLERANCES["scaling_ratio"])
     write_json(out / "szego_fio.json", {
         "n": n, "rel_diff_at_0.3": rows[0][1],
         "scaling_ratio": ratio, "scaling_target": 2.0**n, "pass": passed,
@@ -171,42 +160,34 @@ def _run_moyal_check(params, out, seed):
     b = FormalSymbol(1, 0.0, 1, (x, ex.ZERO))
     u = windowed_mode(L, M, params["u_mode"], BandLimit(F // 4))
     rep = moyal_consistency(a, b, 1, u, band)
+    passed = rep["eps"][1] <= TOLERANCES["eps1"]
     write_json(out / "moyal_check.json", {
         "pair": "xi,x", "eps": rep["eps"], "band": F, "M": M,
-        "u_tail": rep["u_tail"], "pass": rep["eps"][1] <= 1e-8,
+        "u_tail": rep["u_tail"], "pass": passed,
     })
     rows = [[k, e] for k, e in enumerate(rep["eps"])]
     write_csv(out / "moyal_check.csv", ["K", "eps"], rows)
-    return rep["eps"][1] <= 1e-8, {"eps1": rep["eps"][1]}
+    return passed, {"eps1": rep["eps"][1]}
 
 
 def _run_borel_demo(params, out, seed):
-    from .acceptance import _factorial_symbol
-    from .borel import (borel_sum, cutoff_csv_rows, ehrenpreis_cutoffs,
-                        fit_exponential_rate, remainder_profile)
+    from .borel import cutoff_csv_rows, ehrenpreis_cutoffs
 
-    a = _factorial_symbol(25)
     fam_cert = ehrenpreis_cutoffs((0.0, 1.0), (2.0, 3.0), 8)
     header, grid_rows = cutoff_csv_rows(fam_cert, 8, stride=4)
     write_csv(out / "cutoff_grid.csv", header, grid_rows)
-    fam = ehrenpreis_cutoffs((0.0, 1.0), (2.0, 3.0), 27, deriv_max=0)
     theta = np.geomspace(params["theta_min"], params["theta_max"], params["theta_count"])
-    r1 = borel_sum(a, params["c"], fam)
-    prof = remainder_profile(r1, params["N"], theta)
+    prof, gap_rate, passed = borel_realisation_gap(params["c"], params["N"], theta)
     rows = []
     for n in range(params["N"] + 1):
         for i, t in enumerate(theta):
             rows.append([n, t, prof["residuals"][n, i]])
     write_csv(out / "borel_residuals.csv", ["N", "theta", "residual"], rows)
-    r2 = borel_sum(a, params["c"] / 2.0, fam)
-    diff = r1.eval(np.zeros(1), theta) - r2.eval(np.zeros(1), theta)
-    efit = fit_exponential_rate(theta, diff)
-    passed = prof["fit_quality"] <= 0.25 and efit["eps"] >= 0.01
     write_json(out / "borel_fit.json", {
         "C": prof["C"], "rho": prof["rho"], "fit_quality": prof["fit_quality"],
-        "gap_rate": efit["eps"], "pass": passed,
+        "gap_rate": gap_rate, "pass": passed,
     })
-    return passed, {"fit_quality": prof["fit_quality"], "gap_rate": efit["eps"]}
+    return passed, {"fit_quality": prof["fit_quality"], "gap_rate": gap_rate}
 
 
 def _run_statphase_cert(params, out, seed):
@@ -278,8 +259,7 @@ def _parse_jet_rhs(spec: str, K: int, N: int):
 
 def _run_normalform_demo(params, out, seed):
     from .normalform import (Quantize2D, commutator_check, order0_pde_residual,
-                             random_jet_rhs, solve_order0, transport_recursion,
-                             transport_residuals)
+                             random_jet_rhs, solve_order0)
 
     r0 = ex.parse_sexpr(params["r0"])
     a0 = solve_order0(r0)
@@ -290,15 +270,12 @@ def _run_normalform_demo(params, out, seed):
         g = _parse_jet_rhs(params["g"], params["K"], params["N"])
     else:
         g = random_jet_rhs(rng, params["K"], params["N"])
-    b = transport_recursion(g, params["K"], params["N"])
-    res = transport_residuals(b, g, params["K"], params["N"])
-    pts3 = rng.uniform(0.1, 0.4, (3, 8))
-    worst = 0.0
-    for r_ in res:
-        if not r_.is_zero():
-            worst = max(worst, float(np.max(np.abs(ex.evaluate(r_, list(pts3))))))
+    worst = worst_transport_residual(g, params["K"], params["N"],
+                                     rng.uniform(0.1, 0.4, (3, 8)))
     comm = commutator_check(ex.var(0), Quantize2D())
-    passed = pde_res <= 1e-9 and worst <= 1e-12 and comm["residual"] <= 1e-8
+    passed = (pde_res <= TOLERANCES["order0_pde_residual"]
+              and worst <= TOLERANCES["transport_residual"]
+              and comm["residual"] <= TOLERANCES["commutator_residual"])
     write_json(out / "normalform_demo.json", {
         "order0_pde_residual": pde_res, "transport_residual": worst,
         "commutator_residual": comm["residual"], "pass": passed,
@@ -316,7 +293,7 @@ def _run_stability_sweep(params, out, seed):
         for k, ratio in sorted(row["ratios"].items()):
             rows.append([row["seed"], k, ratio])
     write_csv(out / "stability.csv", ["seed", "k", "ratio"], rows)
-    passed = rep["max_ratio"] <= 1.0 + 1e-6
+    passed = rep["max_ratio"] <= TOLERANCES["stability_max_ratio"]
     write_json(out / "stability.json", {
         "rho": rep["rho"], "R": rep["R"], "m": rep["m"],
         "max_ratio": rep["max_ratio"], "pass": passed,
@@ -324,31 +301,51 @@ def _run_stability_sweep(params, out, seed):
     return passed, {"max_ratio": rep["max_ratio"]}
 
 
+# name -> (driver, anchor, config schema); the anchor is a self-describing
+# formula for the manifest
 _SUBCOMMANDS = {
-    "mn-asym": (_run_mn_asym, {
-        "n": (int, 2), "J": (int, 6), "r_min": (float, 20.0),
-        "r_max": (float, 100.0), "r_count": (int, 25)}),
-    "szego-reproduce": (_run_szego_reproduce, {
-        "n": (int, 1), "beta": (float, 0.99), "tol": (float, 1e-4),
-        "zeta1": (float, 0.5), "zeta2": (float, 0.25)}),
-    "szego-fio": (_run_szego_fio, {"n": (int, 1)}),
-    "moyal-check": (_run_moyal_check, {
-        "L": (float, 48.0), "M": (int, 2048), "F": (int, 384),
-        "u_mode": (int, 30)}),
-    "borel-demo": (_run_borel_demo, {
-        "c": (float, 0.125), "N": (int, 10), "theta_min": (float, 20.0),
-        "theta_max": (float, 200.0), "theta_count": (int, 25)}),
-    "statphase-cert": (_run_statphase_cert, {
-        "u": (str, "(exp (v 0))"), "d": (int, 1), "lam": (float, 20.0),
-        "N": (int, 8), "bound_scale": (float, 1.0)}),
-    "fbi-wavefront": (_run_fbi_wavefront, {
-        "u": (str, "heaviside"), "t_min": (float, 10.0),
-        "t_max": (float, 80.0), "t_count": (int, 50)}),
-    "normalform-demo": (_run_normalform_demo, {
-        "r0": (str, "(+ (v 3) (* 0.5 (v 1)))"), "K": (int, 2), "N": (int, 4),
-        "g": (str, "")}),
-    "stability-sweep": (_run_stability_sweep, {
-        "n_seeds": (int, 20), "K": (int, 3), "N": (int, 6), "m": (float, 8.0)}),
+    "mn-asym": (
+        _run_mn_asym,
+        "large-r expansion of e^{-r} m_n(r), m_n(z) = int_{S^{n-1}} e^{z.y} dy",
+        {"n": (int, 2), "J": (int, 6), "r_min": (float, 20.0),
+         "r_max": (float, 100.0), "r_count": (int, 25)}),
+    "szego-reproduce": (
+        _run_szego_reproduce,
+        "reproducing identity f(z) = int K(z,w) f(w) dw on R^n x S^{n-1}",
+        {"n": (int, 1), "beta": (float, 0.99), "tol": (float, TOLERANCES["n1_max_rel_err"]),
+         "zeta1": (float, 0.5), "zeta2": (float, 0.25)}),
+    "szego-fio": (
+        _run_szego_fio,
+        "kernel versus fiber-integral model int_0^oo e^{t(s-2)} b(t) t^{n-1} dt",
+        {"n": (int, 1)}),
+    "moyal-check": (
+        _run_moyal_check,
+        "Op(a)Op(b) = Op(a#b) with (a#b)_k = sum (-i)^n/beta! d_xi^beta a_l d_x^beta b_{k-n-l}",
+        {"L": (float, 48.0), "M": (int, 2048), "F": (int, 384), "u_mode": (int, 30)}),
+    "borel-demo": (
+        _run_borel_demo,
+        "lowest-term summation a = sum_l a_l (1 - chi_{l+1}(c|theta|/(l+1)))",
+        {"c": (float, 0.125), "N": (int, 10), "theta_min": (float, 20.0),
+         "theta_max": (float, 200.0), "theta_count": (int, 25)}),
+    "statphase-cert": (
+        _run_statphase_cert,
+        "int e^{-lam y^2} u = pi^{d/2} lam^{-d/2} sum_j Lap^j u(0)/((4 lam)^j j!) + remainder",
+        {"u": (str, "(exp (v 0))"), "d": (int, 1), "lam": (float, 20.0),
+         "N": (int, 8), "bound_scale": (float, 1.0)}),
+    "fbi-wavefront": (
+        _run_fbi_wavefront,
+        "decay dichotomy of F(t) = int e^{it((x-y).w + i|x-y|^2/2)} u(y) dy",
+        {"u": (str, "heaviside"), "t_min": (float, 10.0),
+         "t_max": (float, 80.0), "t_count": (int, 50)}),
+    "normalform-demo": (
+        _run_normalform_demo,
+        "transport recursion i b^(n+1) - eta d_xi b^(n) + n d_y b^(n-1) = g^(n)",
+        {"r0": (str, "(+ (v 3) (* 0.5 (v 1)))"), "K": (int, 2), "N": (int, 4),
+         "g": (str, "")}),
+    "stability-sweep": (
+        _run_stability_sweep,
+        "jet-norm stability C(b_k,k) <= C(g_k,k) for rho >= 6 (3/2)^m",
+        {"n_seeds": (int, 20), "K": (int, 3), "N": (int, 6), "m": (float, 8.0)}),
 }
 
 
@@ -357,7 +354,7 @@ def run_subcommand(name: str, config: dict, out_dir: Path, seed: int = 0) -> boo
     if name not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}; "
                           f"choose from {sorted(_SUBCOMMANDS)}")
-    fn, schema = _SUBCOMMANDS[name]
+    fn, anchor, schema = _SUBCOMMANDS[name]
     params = _typed(config, schema)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,7 +364,7 @@ def run_subcommand(name: str, config: dict, out_dir: Path, seed: int = 0) -> boo
         "subcommand": name,
         "parameters": params,
         "seed": seed,
-        "anchor": _ANCHORS[name],
+        "anchor": anchor,
         "pass": bool(passed),
         "summary": summary,
         "outputs": outputs,
@@ -407,8 +404,6 @@ def main(argv=None) -> int:
         print(f"{args.subcommand}: {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
     if args.mode == "verify":
-        from .acceptance import verify_all
-
         summary = verify_all(args.suite, statphase_scale=args.statphase_scale)
         if args.out:
             outp = Path(args.out)

@@ -482,11 +482,16 @@ def evaluate(e: Expr, args) -> np.ndarray:
     Raises
     ------
     DomainError
-        If a quotient/log/power hits its singular set or a radial node is
-        evaluated within ``NORM_GUARD`` of the origin.
+        If a quotient/log/power hits its singular set, a radial node is
+        evaluated within ``NORM_GUARD`` of the origin, or a node overflows
+        or produces an invalid value.
     """
     args = [np.asarray(a, dtype=complex) for a in args]
-    out = np.asarray(_eval(e, args), dtype=complex)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = np.asarray(_eval(e, args), dtype=complex)
+    except FloatingPointError as exc:
+        raise DomainError(f"{exc} evaluating {format_sexpr(e)}") from exc
     if args:
         shape = np.broadcast_shapes(*[a.shape for a in args])
         out = np.broadcast_to(out, np.broadcast_shapes(out.shape, shape)).copy()

@@ -8,44 +8,22 @@ uses '.' decimal points, ',' separators, and a header row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fmt_float", "canonical", "canonical_json", "write_json",
-           "write_csv", "ExperimentReport"]
+__all__ = ["fmt_float", "canonical_json", "write_json", "write_csv"]
 
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def canonical(obj):
-    """Convert to a plain JSON-ready structure (floats kept as floats)."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return canonical(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    raise TypeError(f"cannot serialize {type(obj)}")
+def canonical_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON text: sorted keys, 17-significant-digit floats.
 
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    return _render_flat(obj)
-
-
-def _render_flat(obj, indent=0) -> str:
+    ``indent`` is the nesting depth of ``obj`` in the enclosing document.
+    """
     pad = " " * indent
     if obj is None:
         return "null"
@@ -60,18 +38,18 @@ def _render_flat(obj, indent=0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _render_flat(obj.tolist(), indent)
+        return canonical_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ",\n".join(pad + " " + _render_flat(v, indent + 1) for v in obj)
+        inner = ",\n".join(pad + " " + canonical_json(v, indent + 1) for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         inner = ",\n".join(
-            pad + " " + json.dumps(str(k)) + ": " + _render_flat(v, indent + 1)
+            pad + " " + json.dumps(str(k)) + ": " + canonical_json(v, indent + 1)
             for k, v in items
         )
         return "{\n" + inner + "\n" + pad + "}"
@@ -80,7 +58,7 @@ def _render_flat(obj, indent=0) -> str:
 
 def write_json(path, obj) -> Path:
     path = Path(path)
-    path.write_text(_render_flat(obj) + "\n", encoding="utf-8")
+    path.write_text(canonical_json(obj) + "\n", encoding="utf-8")
     return path
 
 
@@ -99,19 +77,3 @@ def write_csv(path, header, rows) -> Path:
         lines.append(",".join(_cell(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
-
-
-@dataclass
-class ExperimentReport:
-    """Structured record of one numerical check."""
-
-    name: str
-    params: dict
-    values: dict = field(default_factory=dict)
-    passed: bool | None = None
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": self.params,
-                "values": self.values, "pass": self.passed,
-                "details": self.details}

@@ -6,7 +6,9 @@ Each test prints the standard one-line pass/fail summary of its criterion so
 
 import pytest
 
+from microlocal import acceptance
 from microlocal.acceptance import CRITERIA, run_criterion
+from microlocal.cli import run_subcommand
 
 
 @pytest.mark.parametrize("cid", list(CRITERIA))
@@ -22,3 +24,11 @@ def test_statphase_negative_hook():
     # the bound is scaled below the corpus' measured slack
     res = run_criterion("C7", fast=True, bound_scale=1e-5)
     assert not res.passed
+
+
+def test_cli_and_criteria_share_tolerances(tmp_path, monkeypatch):
+    # one table decides both the CLI pass flag and the criterion: tightening
+    # the fit tolerance below the measured value must fail both
+    monkeypatch.setitem(acceptance.TOLERANCES, "fit_quality", 1e-6)
+    assert run_subcommand("mn-asym", {"n": "2"}, tmp_path) is False
+    assert run_criterion("C1", fast=True).passed is False

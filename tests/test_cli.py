@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -112,10 +113,13 @@ def test_main_config_error(tmp_path, capsys):
 def test_main_arithmetic_error(tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     cfg.write_text("u = (exp (* 1000 (v 0)))\n")
-    rc = main(["run", "statphase-cert", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "statphase-cert", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("statphase-cert: error: ")
+    assert "(exp (* 1000 (v 0)))" in err
     assert len(err.strip().splitlines()) == 1
 
 

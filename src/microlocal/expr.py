@@ -482,11 +482,14 @@ def evaluate(e: Expr, args) -> np.ndarray:
     Raises
     ------
     DomainError
-        If a quotient/log/power hits its singular set, a radial node is
-        evaluated within ``NORM_GUARD`` of the origin, or a node overflows
-        or produces an invalid value.
+        If an argument holds a non-finite value, a quotient/log/power hits
+        its singular set, a radial node is evaluated within ``NORM_GUARD`` of
+        the origin, or a node overflows or produces an invalid value.
     """
     args = [np.asarray(a, dtype=complex) for a in args]
+    for i, a in enumerate(args):
+        if not np.isfinite(a).all():
+            raise DomainError(f"non-finite value in argument v{i} evaluating {format_sexpr(e)}")
     try:
         with np.errstate(over="raise", invalid="raise"):
             out = np.asarray(_eval(e, args), dtype=complex)

@@ -46,6 +46,7 @@ from . import expr as ex
 from .jets import jet_batch_from_expr
 from .multiindex import factorial_multi, multi_indices
 from .quadrature import gauss_panels
+from .quantize import commutator_residual
 
 __all__ = [
     "model_symbol",
@@ -69,11 +70,6 @@ VX, VY, VXI, VETA = 0, 1, 2, 3
 def model_symbol() -> ex.Expr:
     """Left-quantization symbol xi_j - i x_j eta_1 of the model operator."""
     return ex.sub(ex.var(VXI), ex.mul(ex.I, ex.var(VX), ex.var(VETA)))
-
-
-def model_symbol_paper_form() -> ex.Expr:
-    """The equivalent form x_j eta_1 + i xi_j (= i times model_symbol)."""
-    return ex.add(ex.mul(ex.var(VX), ex.var(VETA)), ex.mul(ex.I, ex.var(VXI)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +398,7 @@ def commutator_check(b: ex.Expr, oracle: Quantize2D | None = None,
         ex.mul(ex.var(VETA), ex.diff(b, VXI)),
     )
     S = q.op_matrix(side)
-    C = D0 @ B - B @ D0 - S
-    worst = 0.0
-    for (mx, my) in test_modes:
-        v = q.windowed_vector(mx, my)
-        r = float(np.linalg.norm(C @ v) / np.linalg.norm(v))
-        worst = max(worst, r)
+    vectors = [q.windowed_vector(mx, my) for mx, my in test_modes]
+    worst = commutator_residual(D0, B, S, vectors)
     return {"residual": worst, "band": q.F, "M": q.M, "period": q.L,
             "side_symbol": ex.format_sexpr(side)}

@@ -45,7 +45,6 @@ __all__ = [
     "make_grid",
     "estimate_norm",
     "moyal_product",
-    "moyal_truncate",
     "neumann_invert",
     "moyal_sqrt",
     "SqrtResult",
@@ -81,12 +80,6 @@ class FormalSymbol:
     @property
     def nvars(self) -> int:
         return 2 * self.dim
-
-    def xvar(self, i: int) -> int:
-        return i
-
-    def xivar(self, i: int) -> int:
-        return self.dim + i
 
 
 @dataclass(frozen=True)
@@ -230,6 +223,20 @@ def sample_coefficient(e: ex.Expr, grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _derive(e: ex.Expr, steps) -> ex.Expr:
+    """``e`` differentiated by each variable index in ``steps``, in order."""
+    for v in steps:
+        e = ex.diff(e, v)
+        if e.is_zero():
+            break
+    return e
+
+
+def _weight(beta: tuple) -> ex.Expr:
+    """The Moyal weight (-i)^|beta| / beta!."""
+    return ex.const((-1j) ** sum(beta) / factorial_multi(beta))
+
+
 class _DerivCache:
     """Caches iterated partials of the coefficient list of one symbol."""
 
@@ -240,16 +247,19 @@ class _DerivCache:
 
     def get(self, l: int, beta: tuple) -> ex.Expr:
         key = (l, beta)
-        if key in self.cache:
-            return self.cache[key]
-        e = self.coeffs[l]
-        for i, b in enumerate(beta):
-            for _ in range(b):
-                e = ex.diff(e, self.var_offset + i)
-                if e.is_zero():
-                    break
-        self.cache[key] = e
-        return e
+        if key not in self.cache:
+            steps = [self.var_offset + i for i, b in enumerate(beta) for _ in range(b)]
+            self.cache[key] = _derive(self.coeffs[l], steps)
+        return self.cache[key]
+
+
+def _star_terms(k: int, d: int):
+    """(n, l, beta, weight) of every term of the order-k star coefficient."""
+    for n in range(k + 1):
+        betas = [(bb, _weight(bb)) for bb in multi_indices(d, n) if sum(bb) == n]
+        for l in range(k - n + 1):
+            for beta, weight in betas:
+                yield n, l, beta, weight
 
 
 def moyal_product(a: FormalSymbol, b: FormalSymbol, K: int) -> FormalSymbol:
@@ -268,29 +278,16 @@ def moyal_product(a: FormalSymbol, b: FormalSymbol, K: int) -> FormalSymbol:
     out = []
     for k in range(K + 1):
         terms = []
-        for n in range(k + 1):
-            kappa_n = (-1j) ** n
-            betas = [bb for bb in multi_indices(d, n) if sum(bb) == n]
-            for l in range(k - n + 1):
-                for beta in betas:
-                    fa = da.get(l, beta)
-                    if fa.is_zero():
-                        continue
-                    fb = db.get(k - n - l, beta)
-                    if fb.is_zero():
-                        continue
-                    terms.append(
-                        ex.mul(ex.const(kappa_n / factorial_multi(beta)), fa, fb)
-                    )
+        for n, l, beta, weight in _star_terms(k, d):
+            fa = da.get(l, beta)
+            if fa.is_zero():
+                continue
+            fb = db.get(k - n - l, beta)
+            if fb.is_zero():
+                continue
+            terms.append(ex.mul(weight, fa, fb))
         out.append(ex.add(*terms) if terms else ex.ZERO)
     return FormalSymbol(d, a.d0 + b.d0, K, tuple(out))
-
-
-def moyal_truncate(a: FormalSymbol, K: int) -> FormalSymbol:
-    """Drop coefficients above order K."""
-    if K > a.order:
-        raise ValueError("cannot extend a symbol by truncation")
-    return FormalSymbol(a.dim, a.d0, K, a.coeffs[: K + 1])
 
 
 def _check_elliptic(a0: ex.Expr, dim: int, box, grid_n: int, threshold: float):
@@ -317,33 +314,46 @@ def neumann_invert(a: FormalSymbol, K: int, box, grid_n: int = 9,
     b0 = ex.div(ex.ONE, a.coeffs[0]) if a.coeffs[0] != ex.ONE else ex.ONE
     bs = [b0]
     da = _DerivCache(a.coeffs, var_offset=d)
+    db = _DerivCache(bs, var_offset=0)  # valid: bs[j] never changes once appended
     for k in range(1, K + 1):
         terms = []
-        for n in range(k + 1):
-            kappa_n = (-1j) ** n
-            betas = [bb for bb in multi_indices(d, n) if sum(bb) == n]
-            for l in range(k - n + 1):
-                if n == 0 and l == 0:
-                    continue  # the unknown b_k lives here
-                j = k - n - l
-                for beta in betas:
-                    fa = da.get(l, beta)
-                    if fa.is_zero():
-                        continue
-                    fb = bs[j]
-                    for i, bb in enumerate(beta):
-                        for _ in range(bb):
-                            fb = ex.diff(fb, i)
-                    if fb.is_zero():
-                        continue
-                    terms.append(
-                        ex.mul(ex.const(kappa_n / factorial_multi(beta)), fa, fb)
-                    )
+        for n, l, beta, weight in _star_terms(k, d):
+            if n == 0 and l == 0:
+                continue  # the unknown b_k lives here
+            fa = da.get(l, beta)
+            if fa.is_zero():
+                continue
+            fb = db.get(k - n - l, beta)
+            if fb.is_zero():
+                continue
+            terms.append(ex.mul(weight, fa, fb))
         if terms:
             bs.append(ex.mul(ex.neg(b0), ex.add(*terms)))
         else:
             bs.append(ex.ZERO)
     return FormalSymbol(d, -a.d0, K, tuple(bs))
+
+
+def _mu_series(coeffs, K: int, d: int, first: int, finish) -> list:
+    """[c_0 .. c_K] with
+
+        c_j = sum_{|mu|<=j} ((-i)^|mu|/mu!) finish(d_v^mu d_xi^mu coeffs[j-|mu|]),
+
+    where v is the block of d variables starting at index ``first``.
+    """
+    out = []
+    for j in range(K + 1):
+        terms = []
+        for mu in multi_indices(d, j):
+            steps = []
+            for i, m in enumerate(mu):
+                steps += [first + i] * m + [d + i] * m  # v_i before xi_i
+            e = _derive(coeffs[j - sum(mu)], steps)
+            if e.is_zero():
+                continue
+            terms.append(ex.mul(_weight(mu), finish(e)))
+        out.append(ex.add(*terms) if terms else ex.ZERO)
+    return out
 
 
 def adjoint_symbol(a: FormalSymbol) -> FormalSymbol:
@@ -356,32 +366,9 @@ def adjoint_symbol(a: FormalSymbol) -> FormalSymbol:
     product (dense-matrix oracle check in the test-suite); the opposite sign
     belongs to the e^{-i x.xi} convention.
     """
-    d = a.dim
-    out = []
-    for k in range(a.order + 1):
-        terms = []
-        for mu in multi_indices(d, k):
-            mm = sum(mu)
-            src = ex.conj(a.coeffs[k - mm])
-            e = src
-            for i, m_i in enumerate(mu):
-                for _ in range(m_i):
-                    e = ex.diff(e, i)            # x derivative
-                    if e.is_zero():
-                        break
-                if e.is_zero():
-                    break
-                for _ in range(m_i):
-                    e = ex.diff(e, d + i)        # xi derivative
-                    if e.is_zero():
-                        break
-                if e.is_zero():
-                    break
-            if e.is_zero():
-                continue
-            terms.append(ex.mul(ex.const((-1j) ** mm / factorial_multi(mu)), e))
-        out.append(ex.add(*terms) if terms else ex.ZERO)
-    return FormalSymbol(d, a.d0, a.order, tuple(out))
+    conjugated = [ex.conj(c) for c in a.coeffs]
+    out = _mu_series(conjugated, a.order, a.dim, 0, lambda e: e)
+    return FormalSymbol(a.dim, a.d0, a.order, tuple(out))
 
 
 def left_total_symbol(a: AmplitudeXYZ, K: int) -> FormalSymbol:
@@ -396,30 +383,7 @@ def left_total_symbol(a: AmplitudeXYZ, K: int) -> FormalSymbol:
         raise ValueError("truncation order exceeds amplitude order")
     d = a.dim
     y_to_x = {2 * d + i: ex.var(i) for i in range(d)}
-    out = []
-    for j in range(K + 1):
-        terms = []
-        for mu in multi_indices(d, j):
-            mm = sum(mu)
-            e = a.coeffs[j - mm]
-            for i, m_i in enumerate(mu):
-                for _ in range(m_i):
-                    e = ex.diff(e, 2 * d + i)    # y derivative
-                    if e.is_zero():
-                        break
-                if e.is_zero():
-                    break
-                for _ in range(m_i):
-                    e = ex.diff(e, d + i)        # xi derivative
-                    if e.is_zero():
-                        break
-                if e.is_zero():
-                    break
-            if e.is_zero():
-                continue
-            e = ex.subst(e, y_to_x)
-            terms.append(ex.mul(ex.const((-1j) ** mm / factorial_multi(mu)), e))
-        out.append(ex.add(*terms) if terms else ex.ZERO)
+    out = _mu_series(a.coeffs, K, d, 2 * d, lambda e: ex.subst(e, y_to_x))
     return FormalSymbol(d, a.d0, K, tuple(out))
 
 

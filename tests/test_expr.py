@@ -70,6 +70,8 @@ def test_domain_errors():
         ex.evaluate(ex.log(ex.var(0)), [np.array([0.0])])
     with pytest.raises(ex.DomainError):
         ex.evaluate(ex.norm(ex.var(0)), [np.array([1e-12])])
+    with pytest.raises(ex.DomainError, match=r"argument v0 evaluating \(exp \(v 0\)\)"):
+        ex.evaluate(ex.exp(ex.var(0)), [np.array([np.nan])])
 
 
 def test_norm_principal_branch_complex():

@@ -251,3 +251,32 @@ def test_truncation_guards():
     c2 = FormalSymbol(2, 0.0, 1, (ex.ONE, ex.ZERO))
     with pytest.raises(ValueError):
         moyal_product(a, c2, 1)
+
+
+def test_d2_star_and_adjoint_match_total_symbol():
+    # the amplitude b(x, xi) c(y) is Op(b) Op(c), and conj(b)(y, xi) is Op(b)^dagger,
+    # so two independent loops must agree, here with two-entry multi-indices
+    x1, x2, xi1, xi2 = (ex.var(i) for i in range(4))
+    nxi = ex.norm(xi1, xi2)
+    K = 3
+    b = FormalSymbol(2, 0.0, K, tuple(
+        ex.div(ex.add(ex.mul(1.0 if k == 0 else 0.3, ex.cos(ex.add(x1, ex.mul(0.5, x2)))),
+                      ex.mul(0.2j, x1, x2, xi1, xi2, ex.powi(nxi, -2)),
+                      ex.mul(0.4, ex.sin(ex.mul(x2, xi1)), ex.powi(nxi, -1))),
+               ex.powi(nxi, k))
+        for k in range(K + 1)))
+    c0 = ex.add(1.0, ex.mul(0.5, x1, ex.exp(ex.mul(0.3, x2))))
+    c = FormalSymbol(2, 0.0, K, (c0,) + (ex.ZERO,) * K)
+    x_to_y = {0: ex.var(4), 1: ex.var(5)}
+    prod_amp = AmplitudeXYZ(2, 0.0, K, tuple(
+        ex.mul(bk, ex.subst(c0, x_to_y)) for bk in b.coeffs))
+    adj_amp = AmplitudeXYZ(2, 0.0, K, tuple(
+        ex.subst(ex.conj(bk), x_to_y) for bk in b.coeffs))
+    g = make_grid(((-1.0, 1.0), (-1.0, 1.0), (1.0, 2.0), (1.0, 2.0)), 4)
+    for got, want in ((left_total_symbol(prod_amp, K), moyal_product(b, c, K)),
+                      (left_total_symbol(adj_amp, K), adjoint_symbol(b))):
+        for k in range(K + 1):
+            vg = sample_coefficient(got.coeffs[k], g)
+            vw = sample_coefficient(want.coeffs[k], g)
+            assert np.max(np.abs(vw)) > 1e-3
+            assert np.max(np.abs(vg - vw)) <= 1e-12 * np.max(np.abs(vw))

@@ -41,6 +41,7 @@ __all__ = [
     "mn_partial_sum_scaled",
     "radial_s",
     "DiagonalProximityError",
+    "OutsideTubeError",
     "szego_kernel",
     "szego_kernel_batch",
     "szego_fio_model",
@@ -50,10 +51,16 @@ __all__ = [
 ]
 
 DIAG_GAUGE_FLOOR = 2.5e-7  # |2 - s| image of the 1e-3 diagonal exclusion
+TUBE_SLACK = 1e-12  # rounding allowance on Re(2 - s) = 0 for boundary pairs
 
 
 class DiagonalProximityError(ValueError):
     """Kernel evaluation refused too close to the boundary diagonal."""
+
+
+class OutsideTubeError(ValueError):
+    """Kernel evaluation refused outside the closed tube, Re(2 - s) < 0, where
+    the radial integral diverges."""
 
 
 def sphere_area(m: int) -> float:
@@ -254,6 +261,9 @@ def _szego2_smalls(s: np.ndarray) -> np.ndarray:
     return (integrand @ w) / (2.0 * math.pi) ** 2
 
 
+_SZEGO2_GROUP_NODES = 1 << 20  # radial nodes per pass; bounds the temporaries
+
+
 def _szego2_subtracted(s: np.ndarray) -> np.ndarray:
     """n = 2 kernel via leading-term subtraction, valid for Re s < 2.
 
@@ -264,57 +274,89 @@ def _szego2_subtracted(s: np.ndarray) -> np.ndarray:
                    + int_0^oo r e^{-r u0} E2(r, s) dr },
     g1(u) = 1/u - e^u E1(u),   E2 = Q - sqrt(2/s) (1 + c1/(1+r)).
     E2 is O(r^-2) at infinity and vanishes at r = 0 on the diagonal, so the
-    remaining integral is mild uniformly in u0.  Points are processed in
-    chunks sorted by Re u0 so each chunk shares an oscillation-resolving
-    node set.
+    remaining integral is mild uniformly in u0.
+
+    Each point has its own radial rule, so a value does not depend on the
+    batch it came in: log-graded panels on [0, 4] shared by all points, then
+    linear panels on [4, r_max] with r_max = 40 / Re u0 and enough panels to
+    resolve the oscillation e^{-i r Im u0}.  The nodes of all points are laid
+    out in one flat array with a segment index, and the integrand is summed
+    per point with ``np.bincount``; points go in groups of about
+    ``_SZEGO2_GROUP_NODES`` nodes.
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
-    out = np.zeros(s.shape, dtype=complex)
-    u0_all = 2.0 - s
-    order = np.argsort(np.maximum(u0_all.real, 1e-6))
-    chunk = 512
-    for start in range(0, s.size, chunk):
-        sel = order[start:start + chunk]
-        sc = s[sel]
-        u0 = 2.0 - sc
-        root = np.sqrt(2.0 / sc)
-        c1 = 1.0 / (8.0 * sc) - 1.0 / 16.0
-        g1 = 1.0 / u0 - np.exp(u0) * exp1(u0)
-        closed = root * (1.0 / u0**2 + c1 * g1)
+    u0 = 2.0 - s
+    root = np.sqrt(2.0 / s)
+    c1 = 1.0 / (8.0 * s) - 1.0 / 16.0
+    g1 = 1.0 / u0 - np.exp(u0) * exp1(u0)
+    closed = root * (1.0 / u0**2 + c1 * g1)
 
-        re_min = max(float(np.min(u0.real)), 1e-3)
-        r_max = min(40.0 / re_min, 4e4)
-        osc = float(np.max(np.abs(u0.imag)))
-        # log-graded panels toward 0 plus enough panels for the oscillation
-        n_osc = int(r_max * osc / 6.5)
-        log_edges = min(r_max, 4.0) * 2.0 ** np.arange(-18.0, 1.0)
-        r_log, w_log = gauss_panels(np.concatenate([[0.0], log_edges]), 10)
-        if r_max > 4.0:
-            n_pan = max(6, min(n_osc, 3000), int(r_max / 30.0))
-            r_lin, w_lin = gauss_panels(np.linspace(4.0, r_max, n_pan + 1), 12)
-            r = np.concatenate([r_log, r_lin])
-            w = np.concatenate([w_log, w_lin])
-        else:
-            r, w = r_log, w_log
-        rs = np.outer(sc, r)
-        Q = ive(0, rs) * np.exp(-1j * rs.imag) / ive(0, 2.0 * r)[None, :]
-        E2 = Q - root[:, None] * (1.0 + c1[:, None] / (1.0 + r)[None, :])
-        integrand = r[None, :] * np.exp(-np.outer(u0, r)) * E2
-        out[sel] = (closed + integrand @ w) / (2.0 * math.pi) ** 2
+    # Re s >= 0 on the principal root, so Re u0 <= 2 and r_max >= 20
+    r_max = np.minimum(40.0 / np.maximum(u0.real, 1e-3), 4e4)
+    n_osc = (r_max * np.abs(u0.imag) / 6.5).astype(int)
+    n_pan = np.maximum(np.maximum(6, np.minimum(n_osc, 3000)), (r_max / 30.0).astype(int))
+    r_log, w_log = gauss_panels(np.concatenate([[0.0], 4.0 * 2.0 ** np.arange(-18.0, 1.0)]), 10)
+    den_log = ive(0, 2.0 * r_log)
+    x, wx = np.polynomial.legendre.leggauss(12)
+
+    n_nodes = r_log.size + x.size * n_pan
+    first = np.cumsum(n_nodes) - n_nodes
+    integral = np.empty(s.shape, dtype=complex)
+    for grp in np.split(np.arange(s.size), np.flatnonzero(np.diff(first // _SZEGO2_GROUP_NODES)) + 1):
+        m, pans = grp.size, n_pan[grp]
+        pan_pt = np.repeat(np.arange(m), pans)  # segment index of each linear panel
+        k = np.arange(pan_pt.size) - np.repeat(np.cumsum(pans) - pans, pans)
+        h = ((r_max[grp] - 4.0) / pans)[pan_pt]
+        r_lin = ((4.0 + h * (k + 0.5))[:, None] + (0.5 * h)[:, None] * x).ravel()
+        r = np.concatenate([np.tile(r_log, m), r_lin])
+        w = np.concatenate([np.tile(w_log, m), ((0.5 * h)[:, None] * wx).ravel()])
+        den = np.concatenate([np.tile(den_log, m), ive(0, 2.0 * r_lin)])
+        seg = np.concatenate([np.repeat(np.arange(m), r_log.size), np.repeat(pan_pt, x.size)])
+        j = grp[seg]
+        rs = s[j] * r
+        Q = ive(0, rs) * np.exp(-1j * rs.imag) / den
+        E2 = Q - root[j] * (1.0 + c1[j] / (1.0 + r))
+        f = w * r * np.exp(-u0[j] * r) * E2
+        integral[grp] = np.bincount(seg, f.real, m) + 1j * np.bincount(seg, f.imag, m)
+    return (closed + integral) / (2.0 * math.pi) ** 2
+
+
+# B_2, B_4, ..., B_16
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_SZEGO3_TERMS = 32
+
+
+def _hurwitz3_asymptotic(q: np.ndarray) -> np.ndarray:
+    """zeta(3, q) for large |q| (DLMF 25.11.43 at s = 3):
+
+    zeta(3, q) ~ q^-2/2 + q^-3/2 + sum_j B_2j/(2j)! (3)_{2j-1} q^{-2-2j},
+    with (3)_{2j-1} = (2j+1)!/2.  At |q| >= 30 the last term kept is below
+    1e-17 relative.
+    """
+    out = 0.5 / q**2 + 0.5 / q**3
+    for j, b in enumerate(_BERNOULLI_EVEN, start=1):
+        out = out + b * (2 * j + 1) / 2.0 * q ** (-2.0 - 2 * j)
     return out
 
 
-def _szego3_batch(s: np.ndarray, kmax: int = 20000) -> np.ndarray:
+def _szego3_batch(s: np.ndarray) -> np.ndarray:
     """n = 3 kernel through the exact image of the radial reduction:
 
     K = (2pi)^-3 (4/s) sum_{k>=0} [ (2+4k-s)^-3 - (2+4k+s)^-3 ].
+
+    The first ``_SZEGO3_TERMS`` terms are summed as
+    (4/s) [(a-s)^-3 - (a+s)^-3] = 8 (3a^2 + s^2) / (a^2 - s^2)^3, which has
+    no cancellation at small s.  The rest is 4^-3 [zeta(3, N + (2-s)/4) -
+    zeta(3, N + (2+s)/4)], taken from the Hurwitz zeta asymptotic expansion
+    (see :func:`_hurwitz3_asymptotic`).
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
-    k = np.arange(kmax, dtype=float)
-    a = 2.0 + 4.0 * k
-    terms = (a[None, :] - s[:, None]) ** -3 - (a[None, :] + s[:, None]) ** -3
-    total = terms.sum(axis=1)
-    return (4.0 / s) * total / (2.0 * math.pi) ** 3
+    a = 2.0 + 4.0 * np.arange(_SZEGO3_TERMS)
+    s2 = (s * s)[:, None]
+    head = 8.0 * ((3.0 * a * a + s2) / (a * a - s2) ** 3).sum(axis=1)
+    q = _SZEGO3_TERMS + 0.5
+    tail = (4.0 / s) * (_hurwitz3_asymptotic(q - s / 4.0) - _hurwitz3_asymptotic(q + s / 4.0)) / 64.0
+    return (head + tail) / (2.0 * math.pi) ** 3
 
 
 def szego_kernel_batch(n: int, v: np.ndarray) -> np.ndarray:
@@ -324,6 +366,12 @@ def szego_kernel_batch(n: int, v: np.ndarray) -> np.ndarray:
         v = v.reshape(n, -1)
     s = radial_s(v)
     u0 = 2.0 - s
+    outside = u0.real < -TUBE_SLACK
+    if np.any(outside):
+        raise OutsideTubeError(
+            f"{int(outside.sum())} kernel evaluation point(s) outside the closed tube "
+            f"(Re(2 - s) down to {float(u0.real.min()):.6g} < 0)"
+        )
     if np.any(np.abs(u0) < DIAG_GAUGE_FLOOR):
         raise DiagonalProximityError(
             "kernel evaluation within the diagonal exclusion zone "

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import exp1, ive
 
+from microlocal import cylinder
 from microlocal.cylinder import (
     DiagonalProximityError,
+    OutsideTubeError,
     eval_mn,
     eval_mn_scaled,
     fit_mn_remainder,
@@ -140,6 +144,122 @@ def test_diagonal_exclusion():
     om = np.array([1.0])
     with pytest.raises(DiagonalProximityError):
         szego_kernel(1, 1j * om, 1j * om)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_outside_tube_refused(n):
+    # v = (0, ..., 2.5i) has s = 2.5, Re(2 - s) = -0.5: the radial integral
+    # diverges, so the point is refused without numpy warnings
+    v = np.zeros((n, 2), dtype=complex)
+    v[-1] = [2.5j, 3.0j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideTubeError, match=r"^2 kernel evaluation point.*down to -1 < 0"):
+            szego_kernel_batch(n, v)
+        with pytest.raises(OutsideTubeError, match=r"^1 kernel evaluation point.*down to -0.5 < 0"):
+            szego_kernel(n, 1.5j * np.eye(n)[-1], 1j * np.eye(n)[-1])
+        # a boundary pair with omega = omega' and x - x' along omega has
+        # Re(2 - s) = 0, which rounds to -4.4e-16 here: it is in the closed tube
+        v = np.zeros((n, 1), dtype=complex)
+        v[0] = 3.5947473736868436 + 2j
+        assert (2.0 - radial_s(v)[0]).real < 0.0
+        assert np.isfinite(szego_kernel_batch(n, v)[0])
+
+
+def _unit(rng, n):
+    u = rng.standard_normal(n)
+    return u / np.linalg.norm(u)
+
+
+def _tube_batch(rng, n, points, r_lo, r_hi):
+    """z = x + i beta omega (beta near 0.9) and boundary points w at
+    log-uniform distances in [r_lo, r_hi], as in C2's n = 2 polar grid."""
+    z = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(0.88, 0.92) * _unit(rng, n)
+    r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), points))
+    w = np.stack([z.real + ri * _unit(rng, n) + 1j * _unit(rng, n) for ri in r], axis=1)
+    return z, w, z[:, None] - np.conj(w)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batch_matches_single_points(n):
+    rng = np.random.default_rng(40 + n)
+    z, w1, _ = _tube_batch(rng, n, 48, 0.02, 9.0)
+    _, w2, _ = _tube_batch(rng, n, 16, 3.0, 9.0)
+    w = np.concatenate([w1, w2], axis=1)
+    K = szego_kernel_batch(n, z[:, None] - np.conj(w))
+    single = np.array([szego_kernel(n, z, w[:, j]) for j in range(w.shape[1])])
+    assert np.max(np.abs(K - single) / np.abs(single)) <= 1e-12
+    swapped = np.array([szego_kernel(n, w[:, j], z) for j in range(w.shape[1])])
+    assert np.max(np.abs(swapped - np.conj(K)) / np.abs(K)) <= 1e-13
+
+
+def _szego2_shared_nodes(s: np.ndarray) -> np.ndarray:
+    """The former n = 2 kernel: chunks of points sorted by Re u0 share the
+    node set of their worst point (copied verbatim as a reference)."""
+    from microlocal.quadrature import gauss_panels
+
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    out = np.zeros(s.shape, dtype=complex)
+    u0_all = 2.0 - s
+    order = np.argsort(np.maximum(u0_all.real, 1e-6))
+    chunk = 512
+    for start in range(0, s.size, chunk):
+        sel = order[start:start + chunk]
+        sc = s[sel]
+        u0 = 2.0 - sc
+        root = np.sqrt(2.0 / sc)
+        c1 = 1.0 / (8.0 * sc) - 1.0 / 16.0
+        g1 = 1.0 / u0 - np.exp(u0) * exp1(u0)
+        closed = root * (1.0 / u0**2 + c1 * g1)
+
+        re_min = max(float(np.min(u0.real)), 1e-3)
+        r_max = min(40.0 / re_min, 4e4)
+        osc = float(np.max(np.abs(u0.imag)))
+        # log-graded panels toward 0 plus enough panels for the oscillation
+        n_osc = int(r_max * osc / 6.5)
+        log_edges = min(r_max, 4.0) * 2.0 ** np.arange(-18.0, 1.0)
+        r_log, w_log = gauss_panels(np.concatenate([[0.0], log_edges]), 10)
+        if r_max > 4.0:
+            n_pan = max(6, min(n_osc, 3000), int(r_max / 30.0))
+            r_lin, w_lin = gauss_panels(np.linspace(4.0, r_max, n_pan + 1), 12)
+            r = np.concatenate([r_log, r_lin])
+            w = np.concatenate([w_log, w_lin])
+        else:
+            r, w = r_log, w_log
+        rs = np.outer(sc, r)
+        Q = ive(0, rs) * np.exp(-1j * rs.imag) / ive(0, 2.0 * r)[None, :]
+        E2 = Q - root[:, None] * (1.0 + c1[:, None] / (1.0 + r)[None, :])
+        integrand = r[None, :] * np.exp(-np.outer(u0, r)) * E2
+        out[sel] = (closed + integrand @ w) / (2.0 * math.pi) ** 2
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("r_lo", [0.02, 3.0])
+def test_szego2_matches_shared_node_reference(seed, r_lo):
+    # polar (r from 0.02) and far (r from 3) batches; the shared node set is
+    # finer than each point's own, so both rules converge to the same value
+    _, _, v = _tube_batch(np.random.default_rng(seed), 2, 64, r_lo, 9.0)
+    s = radial_s(v)
+    s = s[np.abs(s) >= 0.3]  # the subtracted form's range
+    ref = _szego2_shared_nodes(s)
+    K = cylinder._szego2_subtracted(s)
+    assert np.all(np.abs(K - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_szego3_against_polygamma():
+    # K = (2 pi)^-3 (4/s) (psi''((2+s)/4) - psi''((2-s)/4)) / 128
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    v = np.concatenate([_tube_batch(rng, 3, 32, r_lo, 9.0)[2] for r_lo in (0.02, 3.0)], axis=1)
+    s = radial_s(v)
+    K = szego_kernel_batch(3, v)
+    with mpmath.workdps(30):
+        for sv, kv in zip(s, K):
+            sm = mpmath.mpc(sv.real, sv.imag)
+            ref = (4 / sm) * (mpmath.psi(2, (2 + sm) / 4) - mpmath.psi(2, (2 - sm) / 4)) / 128
+            ref = complex(ref / (2 * mpmath.pi) ** 3)
+            assert abs(kv - ref) <= 1e-12 * abs(ref)
 
 
 def test_szego2_against_brute_quadrature():

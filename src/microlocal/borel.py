@@ -71,7 +71,10 @@ _Z = _bump_mass()
 
 
 def bump_value(t) -> np.ndarray:
-    """Normalized standard mollifier phi with unit mass, support (-1, 1)."""
+    """Normalized standard mollifier phi with unit mass, support (-1, 1).
+
+    Kept as the only check of ``_Z``, which the derivative kernels use as is.
+    """
     return _bump_raw(np.asarray(t, dtype=float)) / _Z
 
 
@@ -378,7 +381,10 @@ def fit_exponential_rate(theta, values, floor: float = 1e-13) -> dict:
 def cauchy_product_check(a: FormalSymbol, b: FormalSymbol, c: float,
                          cutoffs: CutoffFamily, theta_grid, N: int,
                          x=None) -> dict:
-    """Verify borel(a) * borel(b) realises the Cauchy product of (a, b)."""
+    """Verify borel(a) * borel(b) realises the Cauchy product of (a, b).
+
+    Kept as the product-rule oracle of :func:`borel_sum`.
+    """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     d = a.dim

@@ -489,16 +489,22 @@ def evaluate(e: Expr, args) -> np.ndarray:
     args = [np.asarray(a, dtype=complex) for a in args]
     for i, a in enumerate(args):
         if not np.isfinite(a).all():
-            raise DomainError(f"non-finite value in argument v{i} evaluating {format_sexpr(e)}")
+            raise DomainError(f"non-finite value in argument v{i} evaluating {_describe(e)}")
     try:
         with np.errstate(over="raise", invalid="raise"):
             out = np.asarray(_eval(e, args), dtype=complex)
     except FloatingPointError as exc:
-        raise DomainError(f"{exc} evaluating {format_sexpr(e)}") from exc
+        raise DomainError(f"{exc} evaluating {_describe(e)}") from exc
     if args:
         shape = np.broadcast_shapes(*[a.shape for a in args])
         out = np.broadcast_to(out, np.broadcast_shapes(out.shape, shape)).copy()
     return out
+
+
+def _describe(e: Expr) -> str:
+    """S-expression of ``e`` for an error message, cut after 200 characters."""
+    text = format_sexpr(e)
+    return text if len(text) <= 200 else text[:200] + "..."
 
 
 def _eval(e: Expr, args) -> np.ndarray:
@@ -524,25 +530,25 @@ def _eval(e: Expr, args) -> np.ndarray:
         a = _eval(e.children[0], args)
         b = _eval(e.children[1], args)
         if np.any(np.abs(b) < 1e-300):
-            raise DomainError(f"quotient singular at sampled point: {format_sexpr(e)}")
+            raise DomainError(f"quotient singular at sampled point: {_describe(e)}")
         return a / b
     if k == "powi":
         base = _eval(e.children[0], args)
         n = e.payload
         if n < 0 and np.any(np.abs(base) < 1e-300):
-            raise DomainError(f"negative power singular: {format_sexpr(e)}")
+            raise DomainError(f"negative power singular: {_describe(e)}")
         return base ** n
     if k == "powr":
         base = _eval(e.children[0], args)
         if np.any(np.abs(base) < 1e-300):
-            raise DomainError(f"real power at origin: {format_sexpr(e)}")
+            raise DomainError(f"real power at origin: {_describe(e)}")
         return base ** e.payload
     if k == "exp":
         return np.exp(_eval(e.children[0], args))
     if k == "log":
         a = _eval(e.children[0], args)
         if np.any(np.abs(a) < 1e-300):
-            raise DomainError(f"log singular: {format_sexpr(e)}")
+            raise DomainError(f"log singular: {_describe(e)}")
         return np.log(a)
     if k == "sin":
         return np.sin(_eval(e.children[0], args))
@@ -558,7 +564,7 @@ def _eval(e: Expr, args) -> np.ndarray:
             s = s + _eval(c, args) ** 2
         r = np.sqrt(s)
         if np.any(np.abs(r) <= NORM_GUARD):
-            raise DomainError("radial node evaluated within 1e-8 of the origin")
+            raise DomainError(f"radial node {_describe(e)} evaluated within 1e-8 of the origin")
         return r
     raise ValueError(f"unknown node kind {k!r}")
 

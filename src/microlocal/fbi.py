@@ -1,4 +1,4 @@
-"""FBI transform kernel, transform quadrature, and wavefront decay probes.
+"""FBI transform kernel, its t-integral oracle, and wavefront decay probes.
 
 The phase is the ball extension
 
@@ -15,10 +15,9 @@ half plane, so no cut is crossed).
 
 On the sphere |omega| = 1 the kernel is |x-y|^{-(n+5)/4}-singular at y = x,
 which is *not* locally integrable: pointwise kernel quadrature inside the
-support of u is a regularized diagnostic whose value carries the documented
-grading floor ``h_min`` (the t-integral and y-integral cannot be exchanged
-there).  Decay-envelope fits over x are insensitive to that scale, and the
-wavefront probes below use the finite-t fiber integral
+support of u is only a regularized diagnostic (the t-integral and y-integral
+cannot be exchanged there).  The wavefront probes below therefore use the
+finite-t fiber integral
 
     F(t) = int e^{i t phi(x, omega, y)} u(y) dy,
 
@@ -42,7 +41,6 @@ __all__ = [
     "fbi_kernel_t_quadrature",
     "PiecewiseFunction",
     "builtin_function",
-    "fbi_transform",
     "fiber_integral",
     "wavefront_probe",
     "DecayFit",
@@ -78,7 +76,10 @@ def fbi_kernel(n: int, x, omega, y) -> np.ndarray:
 
 def fbi_kernel_t_quadrature(n: int, x, omega, y, T: float | None = None,
                             nodes_per_period: int = 10) -> complex:
-    """Oracle: truncated t-integral int_0^T e^{i t phi} t^{(n+1)/4} dt."""
+    """Truncated t-integral int_0^T e^{i t phi} t^{(n+1)/4} dt.
+
+    Kept as the oracle for the Gamma identity of :func:`fbi_kernel`.
+    """
     phi = complex(np.asarray(fbi_phase(n, x, omega, y)).reshape(-1)[0])
     if phi.imag <= 0:
         raise ValueError("need Im phi > 0 for the truncated oracle")
@@ -156,54 +157,6 @@ def builtin_function(name: str) -> PiecewiseFunction:
     if name == "gaussian":
         return PiecewiseFunction(((-6.0, 6.0, lambda y: np.exp(-y**2 / 2.0)),))
     raise ValueError(f"unknown builtin {name!r}")
-
-
-def _piece_panels(a: float, b: float, x_split: float | None, h_min: float,
-                  per_unit: float):
-    """Panel edges for one piece, graded toward the split point if inside."""
-    edges = [a]
-    if x_split is not None and a + h_min < x_split < b - h_min:
-        left = []
-        e = x_split - h_min
-        while e > a + h_min:
-            left.append(e)
-            e = x_split - (x_split - e) * 2.0
-        edges += sorted(left)
-        edges.append(x_split)
-        right = []
-        e = x_split + h_min
-        while e < b - h_min:
-            right.append(e)
-            e = x_split + (e - x_split) * 2.0
-        edges += right
-    n_extra = max(2, int((b - a) * per_unit))
-    base = np.linspace(a, b, n_extra + 1)
-    all_edges = np.unique(np.concatenate([np.array(edges), base, [b]]))
-    return all_edges
-
-
-def fbi_transform(u: PiecewiseFunction, points, n: int = 1,
-                  h_min: float = 1e-3, per_unit: float = 6.0,
-                  order: int = 12) -> np.ndarray:
-    """Tu(x, omega) = int T(x, omega, y) u(y) dy over the support of u.
-
-    ``points`` is a list of (x, omega) scalars/1-vectors (n = 1).  Panels
-    are graded toward y = x with floor ``h_min``; Gauss nodes never hit the
-    singular point.  For |omega| = 1 and x inside the support the value is
-    the documented h_min-regularization of the non-integrable kernel.
-    """
-    if n != 1:
-        raise ValueError("transform quadrature implemented in 1D")
-    out = np.zeros(len(points), dtype=complex)
-    for ip, (x, omega) in enumerate(points):
-        xv = float(np.asarray(x).reshape(-1)[0])
-        acc = 0.0 + 0.0j
-        for a, b, f in u.pieces:
-            y, w = gauss_panels(_piece_panels(a, b, xv, h_min, per_unit), order)
-            k = fbi_kernel(1, [xv], [omega], y.reshape(1, -1))
-            acc += np.sum(k * f(y) * w)
-        out[ip] = acc
-    return out
 
 
 def fiber_integral(u: PiecewiseFunction, x, omega, t_grid,

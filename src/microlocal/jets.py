@@ -7,14 +7,15 @@ expression trees are computed by propagating the arithmetic through the tree;
 no finite differences are involved anywhere, so high-order derivatives keep
 full double precision (up to truncated-series conditioning).
 
-All arithmetic is complex.  The batch variants evaluate one expression at
-many centers at once; coefficients then carry a trailing batch axis.
+All arithmetic is complex.  :func:`jet_from_expr` returns the coefficient
+array ``(n_idx,)`` of one center; :func:`jet_batch_from_expr` evaluates one
+expression at many centers at once, and its coefficients carry a trailing
+batch axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,32 +29,7 @@ from .multiindex import (
     multi_indices,
 )
 
-__all__ = ["Jet", "jet_from_expr", "jet_batch_from_expr", "jet_arith", "derivative_at"]
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Order-``order`` Taylor jet at ``center`` in ``dim`` variables."""
-
-    dim: int
-    order: int
-    center: np.ndarray  # shape (dim,), complex
-    coeffs: np.ndarray  # shape (count(dim, order),), complex
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (count(self.dim, self.order),):
-            raise ValueError(
-                f"coefficient table must have {count(self.dim, self.order)} entries, got {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=complex).reshape(self.dim))
-
-    def coefficient(self, alpha) -> complex:
-        return complex(self.coeffs[index_of(tuple(alpha), self.order)])
-
-    def value(self) -> complex:
-        return complex(self.coeffs[0])
+__all__ = ["jet_from_expr", "jet_batch_from_expr"]
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +205,15 @@ def _propagate(e: ex.Expr, centers: np.ndarray, dim: int, order: int):
 # ---------------------------------------------------------------------------
 
 
-def jet_from_expr(e: ex.Expr, center, order: int) -> Jet:
-    """Order-``order`` Taylor jet of ``e`` at ``center``.
+def jet_from_expr(e: ex.Expr, center, order: int) -> np.ndarray:
+    """Order-``order`` Taylor jet of ``e`` at one ``center``.
 
-    The center must lie in the domain of ``e``; singular nodes raise
+    Returns the (n_idx,) coefficient array in the graded-lexicographic
+    layout.  The center must lie in the domain of ``e``; singular nodes raise
     :class:`microlocal.expr.DomainError` naming the offending node.
     """
-    center = np.asarray(center, dtype=complex).reshape(-1)
-    dim = center.shape[0]
-    coeffs = _propagate(e, center.reshape(dim, 1), dim, int(order))[:, 0]
-    return Jet(dim, int(order), center, coeffs)
+    center = np.asarray(center, dtype=complex).reshape(-1, 1)
+    return _propagate(e, center, center.shape[0], int(order))[:, 0]
 
 
 def jet_batch_from_expr(e: ex.Expr, centers, order: int) -> np.ndarray:
@@ -252,35 +227,6 @@ def jet_batch_from_expr(e: ex.Expr, centers, order: int) -> np.ndarray:
         raise ValueError("centers must have shape (dim, B)")
     dim = centers.shape[0]
     return _propagate(e, centers, dim, int(order))
-
-
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Pointwise jet arithmetic; op is one of ``add mul div``."""
-    if a.dim != b.dim or a.order != b.order:
-        raise ValueError("jet shapes differ")
-    if not np.allclose(a.center, b.center, rtol=0.0, atol=0.0):
-        raise ValueError("jet centers differ")
-    ca = a.coeffs[:, None]
-    cb = b.coeffs[:, None]
-    if op == "add":
-        out = ca + cb
-    elif op == "mul":
-        out = _jmul(ca, cb, a.dim, a.order)
-    elif op == "div":
-        out = _jdiv(ca, cb, a.dim, a.order)
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    return Jet(a.dim, a.order, a.center, out[:, 0])
-
-
-def derivative_at(j: Jet, alpha) -> complex:
-    """d^alpha f(center) = alpha! * coeff(alpha)."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != j.dim:
-        raise ValueError("multi-index length differs from jet dimension")
-    if sum(alpha) > j.order:
-        raise ValueError(f"|alpha|={sum(alpha)} exceeds jet order {j.order}")
-    return complex(j.coeffs[index_of(alpha, j.order)] * factorial_multi(alpha))
 
 
 def gradient_norms(coeffs: np.ndarray, dim: int, order: int) -> np.ndarray:

@@ -46,7 +46,7 @@ from . import expr as ex
 from .jets import jet_batch_from_expr
 from .multiindex import factorial_multi, multi_indices
 from .quadrature import gauss_panels
-from .quantize import commutator_residual
+from .quantize import DENSE_MODE_GUARD, commutator_residual
 
 __all__ = [
     "model_symbol",
@@ -330,8 +330,6 @@ class Quantize2D:
     polynomial jet symbols; no low-frequency clamping is applied.
     """
 
-    MODE_GUARD = 4096
-
     def __init__(self, period: float = 24.0, M: int = 64, band: int = 20):
         if band >= M // 2:
             raise ValueError("band exceeds Nyquist")
@@ -339,8 +337,8 @@ class Quantize2D:
         self.M = M
         self.F = band
         f = np.arange(-band, band + 1)
-        if f.size**2 > self.MODE_GUARD:
-            raise ValueError("dense assembly capped at 4096 modes")
+        if f.size**2 > DENSE_MODE_GUARD:
+            raise ValueError(f"dense assembly capped at {DENSE_MODE_GUARD} modes")
         self.f = f
         self.xi = 2.0 * math.pi * f / period
         x1 = np.arange(M) * (period / M)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .symbols import FormalSymbol, moyal_product
+from .symbols import AmplitudeXYZ, FormalSymbol, moyal_product
 
 __all__ = [
     "GridFunction",
@@ -130,10 +130,8 @@ def op_apply_amplitude(a3, u: GridFunction, band: BandLimit,
                      a_{<=K}(x_m, xi_f, x_{m'}) u(x_{m'}),
 
     the discrete image of the kernel int e^{i(x-y) xi} a(x, xi, y) d xi.
-    Used as the oracle for the left total-symbol reduction.
+    Kept as the oracle for :func:`microlocal.symbols.left_total_symbol`.
     """
-    from .symbols import AmplitudeXYZ  # avoid cycle at import time
-
     if not isinstance(a3, AmplitudeXYZ) or a3.dim != 1:
         raise ValueError("oracle needs a one-dimensional (x, xi, y) amplitude")
     M = u.size

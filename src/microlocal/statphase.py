@@ -32,7 +32,6 @@ from . import expr as ex
 from .jets import gradient_norms, jet_batch_from_expr, jet_from_expr
 from .multiindex import factorial_multi, index_of, multi_indices
 from .quadrature import gauss_panels
-from .symbols import FormalSymbol
 
 __all__ = [
     "GaussianExpansion",
@@ -40,8 +39,6 @@ __all__ = [
     "gaussian_quadrature_oracle",
     "QuadratureError",
     "remainder_certificate",
-    "AmplitudeXTY",
-    "formal_gaussian_pushforward",
     "laplacian_powers_at_zero",
     "default_Cd",
     "default_rhod",
@@ -90,7 +87,7 @@ def laplacian_powers_at_zero(u: ex.Expr, d: int, jmax: int) -> list:
                 continue
             two_gamma = tuple(2 * g for g in gamma)
             acc += (math.factorial(j) / factorial_multi(gamma)) \
-                * jet.coeffs[index_of(two_gamma, jet.order)] * factorial_multi(two_gamma)
+                * jet[index_of(two_gamma, 2 * jmax)] * factorial_multi(two_gamma)
         out.append(complex(acc))
     return out
 
@@ -224,77 +221,3 @@ def remainder_certificate(u: ex.Expr, d: int, lam: float, N: int,
         "slack": bound / residual if residual > 0 else math.inf,
         "C_d": C_d, "rho_d": rho_d, "bound_scale": bound_scale,
     }
-
-
-# ---------------------------------------------------------------------------
-# formal Gaussian pushforward
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AmplitudeXTY:
-    """Amplitude a(x, theta, y); variable blocks x, theta, y in that order.
-
-    Coefficient k is homogeneous of degree d0 - k in theta.
-    """
-
-    dim_x: int
-    dim_theta: int
-    dim_y: int
-    d0: float
-    order: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count mismatch")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-
-def formal_gaussian_pushforward(a: AmplitudeXTY, K: int) -> FormalSymbol:
-    """Formal stationary phase for the Morse model phase i |theta| y^2.
-
-    b_j(x, theta) = pi^{dy/2} sum_{i+l=j} |theta|^{-dy/2-i}
-                    Lap_y^i a_l(x, theta, 0) / (4^i i!),
-
-    with homogeneity degrees shifted by -dy/2 - i; odd dy yields
-    half-integer degrees, which the symbol type allows (d0 is real).
-    """
-    if a.dim_x != a.dim_theta:
-        raise ValueError("output symbol type needs dim_x == dim_theta")
-    if K > a.order:
-        raise ValueError("truncation order exceeds amplitude order")
-    dx, dth, dy = a.dim_x, a.dim_theta, a.dim_y
-    y_off = dx + dth
-    y_zero = {y_off + i: ex.ZERO for i in range(dy)}
-    theta_norm = ex.norm(*[ex.var(dx + i) for i in range(dth)])
-
-    def laplacian_y(e: ex.Expr) -> ex.Expr:
-        parts = []
-        for i in range(dy):
-            d2 = ex.diff(ex.diff(e, y_off + i), y_off + i)
-            if not d2.is_zero():
-                parts.append(d2)
-        return ex.add(*parts) if parts else ex.ZERO
-
-    pref = math.pi ** (dy / 2.0)
-    out = []
-    for j in range(K + 1):
-        terms = []
-        for i in range(j + 1):
-            l = j - i
-            e = a.coeffs[l]
-            for _ in range(i):
-                e = laplacian_y(e)
-                if e.is_zero():
-                    break
-            if e.is_zero():
-                continue
-            e0 = ex.subst(e, y_zero)
-            if e0.is_zero():
-                continue
-            coef = pref / (4.0**i * math.factorial(i))
-            terms.append(ex.mul(ex.const(coef), e0,
-                                ex.powr(theta_norm, -(dy / 2.0) - i)))
-        out.append(ex.add(*terms) if terms else ex.ZERO)
-    return FormalSymbol(dx, a.d0 - dy / 2.0, K, tuple(out))

@@ -41,7 +41,6 @@ __all__ = [
     "NormParams",
     "NormEstimate",
     "unit_symbol",
-    "constant_symbol",
     "make_grid",
     "estimate_norm",
     "moyal_product",
@@ -50,7 +49,6 @@ __all__ = [
     "SqrtResult",
     "adjoint_symbol",
     "left_total_symbol",
-    "check_homogeneity",
     "sample_coefficient",
     "load_symbol",
     "dump_symbol",
@@ -99,10 +97,6 @@ class AmplitudeXYZ:
 
 def unit_symbol(dim: int, order: int) -> FormalSymbol:
     return FormalSymbol(dim, 0.0, order, (ex.ONE,) + (ex.ZERO,) * order)
-
-
-def constant_symbol(dim: int, order: int, c) -> FormalSymbol:
-    return FormalSymbol(dim, 0.0, order, (ex.const(c),) + (ex.ZERO,) * order)
 
 
 # ---------------------------------------------------------------------------
@@ -456,28 +450,6 @@ def moyal_sqrt(a: FormalSymbol, K: int, box, grid_n: int = 9) -> SqrtResult:
 # ---------------------------------------------------------------------------
 # homogeneity check and serialization
 # ---------------------------------------------------------------------------
-
-
-def check_homogeneity(a: FormalSymbol, box, grid_n: int = 5,
-                      scales=(2.0, 3.0), tol: float = 1e-8) -> bool:
-    """Sampled check that a_k is homogeneous of degree d0 - k in xi."""
-    grid = make_grid(box, grid_n)
-    d = a.dim
-    for k, ck in enumerate(a.coeffs):
-        if ck.is_zero():
-            continue
-        base = sample_coefficient(ck, grid)
-        scale_ref = np.max(np.abs(base))
-        if scale_ref == 0:
-            continue
-        for s in scales:
-            scaled_grid = grid.copy()
-            scaled_grid[d:] *= s
-            scaled = sample_coefficient(ck, scaled_grid)
-            err = np.max(np.abs(scaled - s ** (a.d0 - k) * base))
-            if err > tol * max(scale_ref, 1.0) * s ** max(a.d0 - k, 0.0):
-                return False
-    return True
 
 
 def dump_symbol(a: FormalSymbol) -> str:

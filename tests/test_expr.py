@@ -5,10 +5,15 @@ from microlocal import expr as ex
 
 
 def test_parse_format_roundtrip():
-    text = "(+ (* 2 (v 0)) (exp (norm (v 1) (v 2))) (/ 1 (- (v 0) 3)))"
-    e = ex.parse_sexpr(text)
-    again = ex.parse_sexpr(ex.format_sexpr(e))
-    assert e == again
+    texts = ["(+ (* 2 (v 0)) (exp (norm (v 1) (v 2))) (/ 1 (- (v 0) 3)))"]
+    texts += [f"({tok} (v 0) (v 1))" for tok in ("+", "*", "/", "norm")]
+    texts += [f"({k} (+ 1 (v 0)))" for k in ex._ANALYTIC]
+    texts += ["(pow (v 0) 3)", "(pow (v 0) -2)", "(pow (v 0) 0.5)", "(neg (v 0))",
+              "(- (v 0))", "(- (v 0) (v 1))", "(* pi i (v 2))", "(+ I (v 0))"]
+    assert set(ex._TOKEN.values()) <= {t.split()[0][1:] for t in texts}
+    for text in texts:
+        e = ex.parse_sexpr(text)
+        assert ex.parse_sexpr(ex.format_sexpr(e)) == e
 
 
 def test_evaluate_vectorized():
@@ -86,9 +91,35 @@ def test_norm_principal_branch_complex():
 
 
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        ex.parse_sexpr("(+ 1")
-    with pytest.raises(ValueError):
-        ex.parse_sexpr("(frobnicate 1)")
-    with pytest.raises(ValueError):
-        ex.parse_sexpr("1 2")
+    # a wrong arity must raise ValueError, never TypeError: the CLI catches
+    # only the former
+    for text in ["(+ 1", "(frobnicate 1)", "1 2", "(sin 1 2)", "(/ 1)", "(pow (v 0))",
+                 "(norm)", "(exp)", "(neg 1 2)", "(- 1 2 3)", "(v)", "(v 0 1)",
+                 "(pow (v 0) 2 3)"]:
+        with pytest.raises(ValueError):
+            ex.parse_sexpr(text)
+
+
+def test_overflow_names_innermost_node():
+    e = ex.add(ex.var(0), ex.exp(ex.mul(1000, ex.var(0))))
+    with pytest.raises(ex.DomainError) as info:
+        ex.evaluate(e, [np.array([1.0])])
+    assert str(info.value) == "overflow encountered in exp evaluating (exp (* 1000 (v 0)))"
+
+
+def test_diff_of_each_primitive():
+    u = ex.add(ex.mul(2, ex.var(0)), ex.mul(ex.var(0), ex.var(1)))
+    du = ex.add(2, ex.var(1))
+    expected = {
+        "exp": ex.mul(ex.exp(u), du),
+        "log": ex.mul(ex.div(ex.ONE, u), du),
+        "sin": ex.mul(ex.cos(u), du),
+        "cos": ex.mul(ex.const(-1), ex.sin(u), du),
+        "sinh": ex.mul(ex.cosh(u), du),
+        "cosh": ex.mul(ex.sinh(u), du),
+    }
+    assert set(expected) == set(ex._ANALYTIC)
+    for kind, want in expected.items():
+        ctor = getattr(ex, kind)
+        assert ctor.__name__ == kind
+        assert ex.diff(ctor(u), 0) == want

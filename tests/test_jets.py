@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,3 +137,44 @@ def test_radial_node_guard_near_origin():
     j = jet_from_expr(e, [3.0, 4.0], 2)
     assert abs(j[0] - 5.0) < 1e-14
     assert abs(_derivative(j, (1, 0), 2) - 0.6) < 1e-14
+
+
+@pytest.mark.parametrize("e, center", [
+    (ex.norm(ex.var(0), ex.var(1)), [1e-9, 0.0]),
+    (ex.log(ex.var(0)), [0.0, 1.0]),
+    (ex.div(1, ex.var(0)), [0.0, 1.0]),
+    (ex.powr(ex.var(0), 0.5), [0.0, 1.0]),
+    (ex.powi(ex.var(0), -2), [0.0, 1.0]),
+], ids=["norm", "log", "div", "powr", "powi"])
+def test_jet_errors_name_the_node(e, center):
+    with pytest.raises(ex.DomainError, match=re.escape(ex.format_sexpr(e))):
+        jet_from_expr(ex.add(ex.var(1), e), center, 2)
+
+
+def _kind_cases():
+    x, y = ex.var(0), ex.var(1)
+    u = ex.add(1.0, ex.mul(0.3, x), ex.mul(-0.2, x, y), ex.mul(0.1, ex.powi(y, 2)))
+    w = ex.add(ex.mul(0.4, y), ex.mul(0.25, ex.powi(x, 3)))
+    cases = {k: getattr(ex, k)(u) for k in ex._ANALYTIC}
+    cases.update(powr=ex.powr(u, 0.37), powi=ex.powi(u, -3), div=ex.div(w, u),
+                 norm=ex.norm(u, w), mul=ex.mul(u, w, x), add=ex.add(u, w))
+    return cases
+
+
+@pytest.mark.parametrize("kind", sorted(_kind_cases()))
+def test_jet_matches_diff_for_every_kind(kind):
+    e = _kind_cases()[kind]
+    assert e.kind == kind
+    rng = np.random.default_rng(11)
+    order = 4
+    real = rng.uniform(-0.5, 0.5, 2)
+    for center in (real, real + 1j * rng.uniform(-0.2, 0.2, 2)):
+        j = jet_from_expr(e, center, order)
+        for alpha in multi_indices(2, order):
+            d = e
+            for i, a in enumerate(alpha):
+                for _ in range(a):
+                    d = ex.diff(d, i)
+            want = complex(ex.evaluate(d, list(center))) / factorial_multi(alpha)
+            got = j[index_of(alpha, order)]
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (alpha, center)

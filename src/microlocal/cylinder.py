@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1, gamma as sp_gamma, ive
+from scipy.special import exp1, gamma as sp_gamma, i0e, ive
 
 from .quadrature import gauss_panels
 
@@ -233,31 +233,42 @@ def _szego1_batch(v: np.ndarray) -> np.ndarray:
     B(xi) = 1 / (2 cosh 2 xi).  The subtracted pieces decay like e^{-6|xi|}
     against growth at most e^{2|xi|}, so a fixed finite window suffices for
     every admissible v (|Im v| < 2).
+
+    The window [0, 12] is cut into P equal panels of width h with 12 Gauss
+    nodes each, so every node is xi = m_p + (h/2) x_j with m_p a panel
+    midpoint, and e^{i V xi} = e^{i V m_p} e^{i V h x_j / 2} for V = +-v.  The
+    sum over the nodes of a panel is a (2N, 12) by (12, P) matrix product with
+    the table R[p, j] = (B - e^{-2 xi}) w, so a batch of N points takes
+    2N (12 + P) complex exponentials instead of 2N 12 P.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     vmax = float(np.max(np.abs(v.real))) if v.size else 1.0
     n_panels = max(24, int(3 + vmax * 12.0 / (2 * math.pi)))
-    xi, w = gauss_panels(np.linspace(0.0, 12.0, n_panels + 1), 12)
-    B = 1.0 / (2.0 * np.cosh(2.0 * xi))
-    right = B - np.exp(-2.0 * xi)
-    E = np.exp(1j * np.outer(v, xi))
-    Eneg = np.exp(-1j * np.outer(v, xi))
-    integral = (E * right) @ w + (Eneg * right) @ w
+    h = 12.0 / n_panels
+    mid = h * (np.arange(n_panels) + 0.5)
+    x, wx = np.polynomial.legendre.leggauss(12)
+    xi = mid[:, None] + (0.5 * h) * x
+    R = (1.0 / (2.0 * np.cosh(2.0 * xi)) - np.exp(-2.0 * xi)) * (0.5 * h) * wx
+    V = np.concatenate([v, -v])
+    both = (np.exp(1j * np.outer(V, mid)) * (np.exp(1j * np.outer(V, (0.5 * h) * x)) @ R.T)).sum(axis=1)
+    integral = both[:v.size] + both[v.size:]
     poles = 1.0 / (2.0 + 1j * v) + 1.0 / (2.0 - 1j * v)
     return (poles + integral) / (2.0 * math.pi)
 
 
 def _szego2_smalls(s: np.ndarray) -> np.ndarray:
-    """n = 2 kernel for |s| small (lightcone points), direct quadrature.
+    """n = 2 kernel for |s| < 0.3 (lightcone points), direct quadrature of
+    r I0(rs)/I0(2r) = r ive(0, rs) e^{-(2 - Re s) r} / i0e(2r).
 
-    There Re(2 - s) is close to 2, so r e^{-r(2-s)} I0(rs) e^{rs}/I0(2r)
-    needs only a short radial window and no subtraction.
+    |I0(rs)| <= I0(0.3 r), so the integrand is at most r I0(0.3r)/I0(2r):
+    1.6e-19 at r = 28, with a tail beyond 28 of 9.4e-20 against a kernel of
+    at least 0.72 (2pi)^-2 (its smallest, at s = +-0.3i).  The window is the fixed [0, 28] for every point,
+    so a value does not depend on its batch; 84 panels of width 1/3 with 12
+    Gauss nodes each.
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
-    r, w = gauss_panels(np.linspace(1e-9, 40.0, 121), 12)
-    rs = np.outer(s, r)
-    Q = ive(0, rs) * np.exp(-1j * rs.imag) / ive(0, 2.0 * r)[None, :]
-    integrand = r[None, :] * np.exp(-np.outer(2.0 - s, r)) * Q
+    r, w = gauss_panels(np.linspace(1e-9, 28.0, 85), 12)
+    integrand = r * ive(0, np.outer(s, r)) * np.exp(-np.outer(2.0 - s.real, r)) / i0e(2.0 * r)
     return (integrand @ w) / (2.0 * math.pi) ** 2
 
 
@@ -277,12 +288,21 @@ def _szego2_subtracted(s: np.ndarray) -> np.ndarray:
     remaining integral is mild uniformly in u0.
 
     Each point has its own radial rule, so a value does not depend on the
-    batch it came in: log-graded panels on [0, 4] shared by all points, then
-    linear panels on [4, r_max] with r_max = 40 / Re u0 and enough panels to
-    resolve the oscillation e^{-i r Im u0}.  The nodes of all points are laid
-    out in one flat array with a segment index, and the integrand is summed
-    per point with ``np.bincount``; points go in groups of about
-    ``_SZEGO2_GROUP_NODES`` nodes.
+    batch it came in: log-graded panels on [0, r0] with r0 = min(4,
+    13/|Im s|), then linear panels on [r0, r_max] with r_max = 40 / Re u0 and
+    enough panels to resolve the oscillation e^{-i r Im u0}.  The top log
+    panel [r0/2, r0] so spans at most 6.5 rad of that oscillation, as the
+    linear panels do.  The nodes of all points are laid out in one flat array
+    with a segment index, and the integrand is summed per point with
+    ``np.bincount``; points go in groups of about ``_SZEGO2_GROUP_NODES``
+    nodes.
+
+    On the principal root Re s >= 0, so ive(0, rs) = I0(rs) e^{-r Re s} and
+    the phase of e^{-r u0} cancels against that of e^{-rs} in Q:
+    e^{-r u0} Q = ive(0, rs) e^{-r Re u0} / i0e(2r), with the real-argument
+    ``i0e``.  Only the subtracted term keeps the complex e^{-r u0}.  Per node
+    that leaves one complex ``ive``, one ``i0e`` and one complex ``exp``; the
+    complex ``ive`` is most of the cost.
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
     u0 = 2.0 - s
@@ -291,32 +311,30 @@ def _szego2_subtracted(s: np.ndarray) -> np.ndarray:
     g1 = 1.0 / u0 - np.exp(u0) * exp1(u0)
     closed = root * (1.0 / u0**2 + c1 * g1)
 
-    # Re s >= 0 on the principal root, so Re u0 <= 2 and r_max >= 20
+    # Re s >= 0 on the principal root, so Re u0 <= 2 and r_max >= 20 > r0
     r_max = np.minimum(40.0 / np.maximum(u0.real, 1e-3), 4e4)
+    r0 = 13.0 / np.maximum(np.abs(s.imag), 3.25)
     n_osc = (r_max * np.abs(u0.imag) / 6.5).astype(int)
     n_pan = np.maximum(np.maximum(6, np.minimum(n_osc, 3000)), (r_max / 30.0).astype(int))
-    r_log, w_log = gauss_panels(np.concatenate([[0.0], 4.0 * 2.0 ** np.arange(-18.0, 1.0)]), 10)
-    den_log = ive(0, 2.0 * r_log)
+    t_log, wt_log = gauss_panels(np.concatenate([[0.0], 2.0 ** np.arange(-18.0, 1.0)]), 10)
     x, wx = np.polynomial.legendre.leggauss(12)
 
-    n_nodes = r_log.size + x.size * n_pan
+    n_nodes = t_log.size + x.size * n_pan
     first = np.cumsum(n_nodes) - n_nodes
     integral = np.empty(s.shape, dtype=complex)
     for grp in np.split(np.arange(s.size), np.flatnonzero(np.diff(first // _SZEGO2_GROUP_NODES)) + 1):
         m, pans = grp.size, n_pan[grp]
         pan_pt = np.repeat(np.arange(m), pans)  # segment index of each linear panel
         k = np.arange(pan_pt.size) - np.repeat(np.cumsum(pans) - pans, pans)
-        h = ((r_max[grp] - 4.0) / pans)[pan_pt]
-        r_lin = ((4.0 + h * (k + 0.5))[:, None] + (0.5 * h)[:, None] * x).ravel()
-        r = np.concatenate([np.tile(r_log, m), r_lin])
-        w = np.concatenate([np.tile(w_log, m), ((0.5 * h)[:, None] * wx).ravel()])
-        den = np.concatenate([np.tile(den_log, m), ive(0, 2.0 * r_lin)])
-        seg = np.concatenate([np.repeat(np.arange(m), r_log.size), np.repeat(pan_pt, x.size)])
+        lo = r0[grp]
+        h = ((r_max[grp] - lo) / pans)[pan_pt]
+        r_lin = ((lo[pan_pt] + h * (k + 0.5))[:, None] + (0.5 * h)[:, None] * x).ravel()
+        r = np.concatenate([np.outer(lo, t_log).ravel(), r_lin])
+        w = np.concatenate([np.outer(lo, wt_log).ravel(), ((0.5 * h)[:, None] * wx).ravel()])
+        seg = np.concatenate([np.repeat(np.arange(m), t_log.size), np.repeat(pan_pt, x.size)])
         j = grp[seg]
-        rs = s[j] * r
-        Q = ive(0, rs) * np.exp(-1j * rs.imag) / den
-        E2 = Q - root[j] * (1.0 + c1[j] / (1.0 + r))
-        f = w * r * np.exp(-u0[j] * r) * E2
+        f = w * r * (ive(0, s[j] * r) * np.exp(-u0.real[j] * r) / i0e(2.0 * r)
+                     - root[j] * (1.0 + c1[j] / (1.0 + r)) * np.exp(-u0[j] * r))
         integral[grp] = np.bincount(seg, f.real, m) + 1j * np.bincount(seg, f.imag, m)
     return (closed + integral) / (2.0 * math.pi) ** 2
 

@@ -123,6 +123,17 @@ def test_szego1_matches_sech_fourier_pair():
     assert worst <= 1e-8
 
 
+def test_szego1_batch_matches_sech_over_reproduce_range():
+    # one batch over |Re v| <= 21, |Im v| <= 1.99: the v that _reproduce_1d
+    # feeds the kernel at C2's x_cut of about 20.6
+    re = np.linspace(-21.0, 21.0, 169)
+    im = np.linspace(-1.99, 1.99, 9)
+    v = (re[:, None] + 1j * im[None, :]).ravel()
+    K = szego_kernel_batch(1, v[None, :])
+    ref = 0.125 / np.cosh(math.pi * v / 4.0)
+    assert np.max(np.abs(K - ref) / np.abs(ref)) <= 1e-8
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_conjugate_symmetry(n):
     rng = np.random.default_rng(n)
@@ -180,7 +191,7 @@ def _tube_batch(rng, n, points, r_lo, r_hi):
     return z, w, z[:, None] - np.conj(w)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_batch_matches_single_points(n):
     rng = np.random.default_rng(40 + n)
     z, w1, _ = _tube_batch(rng, n, 48, 0.02, 9.0)
@@ -273,6 +284,22 @@ def test_szego2_against_mpmath_radial_quadrature(s):
         ref = complex(mpmath.quad(f, nodes) / (2 * mpmath.pi) ** 2)
     K = complex(szego_kernel_batch(2, np.array([[0.0], [1j * s]]))[0])
     assert abs(K - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("s, tol", [
+    (0.9134405281144331 + 8.942864046360778j, 1e-8),  # |Im s| > 3.25: log grid ends below 4
+    (0.25 + 0.1j, 1e-12),  # |s| < 0.3: the small-s window [0, 28]
+    (0.05 - 0.2j, 1e-12),
+])
+def test_szego2_against_mpmath_tight(s, tol):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        sm = mpmath.mpc(s.real, s.imag)
+        f = lambda r: r * mpmath.besseli(0, r * sm) / mpmath.besseli(0, 2 * r)
+        nodes = [0, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, mpmath.inf]
+        ref = complex(mpmath.quad(f, nodes) / (2 * mpmath.pi) ** 2)
+    K = complex(szego_kernel_batch(2, np.array([[0.0], [1j * s]]))[0])
+    assert abs(K - ref) <= tol * abs(ref)
 
 
 def test_szego2_against_brute_quadrature():

@@ -46,7 +46,7 @@ from . import expr as ex
 from .jets import jet_batch_from_expr
 from .multiindex import factorial_multi, multi_indices
 from .quadrature import gauss_panels
-from .quantize import DENSE_MODE_GUARD, commutator_residual
+from .quantize import DENSE_MODE_GUARD, commutator_residual, mode_matrix
 
 __all__ = [
     "model_symbol",
@@ -322,12 +322,12 @@ def stability_sweep(seeds, K: int = 3, N: int = 6, m: float = 8.0,
 
 
 class Quantize2D:
-    """Dense left-quantization matrices on a periodic 2D grid.
+    """The 2D grid of :func:`microlocal.quantize.mode_matrix`: a choice of grid only.
 
     Model plane (x_j, y_1) with dual modes (xi, eta); coordinates are
     centered (sawtooth x in [-L/2, L/2)) so interior test data sits at the
-    origin.  Symbols are Exprs in the layout (x, y, xi, eta).  Intended for
-    polynomial jet symbols; no low-frequency clamping is applied.
+    origin.  Symbols are Exprs in the layout (x, y, xi, eta), evaluated with
+    no low-frequency clamp; intended for polynomial jet symbols.
     """
 
     def __init__(self, period: float = 24.0, M: int = 64, band: int = 20):
@@ -346,25 +346,11 @@ class Quantize2D:
         self.x = x1
 
     def op_matrix(self, symbol: ex.Expr) -> np.ndarray:
-        """Matrix of Op(symbol) on the retained 2D modes."""
-        M, F, L = self.M, self.F, self.L
-        f = self.f
-        nf = f.size
-        X = self.x[:, None, None, None]
-        Y = self.x[None, :, None, None]
-        XI = self.xi[None, None, :, None]
-        ETA = self.xi[None, None, None, :]
-        A = ex.evaluate(symbol, [X, Y, XI, ETA])
-        A = np.broadcast_to(A, (M, M, nf, nf))
-        grid_idx = np.arange(M)
-        Ex = np.exp(2j * math.pi * np.outer(grid_idx, f) / M)  # e^{i x xi}
-        out = np.zeros((nf * nf, nf * nf), dtype=complex)
-        for a_ in range(nf):
-            for b_ in range(nf):
-                colfun = A[:, :, a_, b_] * Ex[:, a_][:, None] * Ex[:, b_][None, :]
-                hat = np.fft.fft2(colfun) / (M * M)
-                out[:, a_ * nf + b_] = hat[np.ix_(np.mod(f, M), np.mod(f, M))].ravel()
-        return out
+        """Matrix of Op(symbol) on the retained 2D modes (row-major (f_x, f_y))."""
+        x, xi = self.x, self.xi
+        A = ex.evaluate(symbol, [x[:, None, None, None], x[None, :, None, None],
+                                 xi[None, None, :, None], xi[None, None, None, :]])
+        return mode_matrix(A, self.f, self.M, 2)
 
     def windowed_vector(self, mode_x: int, mode_y: int,
                         rel_width: float = 1.0 / 15.0) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""FFT-based left-quantization oracle on a periodic 1D grid.
+"""FFT-based left-quantization oracle on a periodic grid.
 
 The oracle realizes ``Op(a)u(x_m) = sum_{|f|<=F} e^{i x_m xi_f} a(x_m, xi_f)
-u_hat(xi_f) / M`` with ``xi_f = 2 pi f / L`` and validates the Moyal algebra
-numerically.  Homogeneous symbols are singular at ``xi = 0``; frequencies
-with ``|xi| < 1`` are clamped to their value at ``|xi| = 1`` (sign kept,
-``sign(0) = +1``), since every check lives on a cone away from the origin.
+u_hat(xi_f) / M^d`` with ``xi_f = 2 pi f / L`` and validates the Moyal algebra
+numerically; one d-dimensional kernel, :func:`mode_matrix`, builds its dense
+matrices.  Only the 1D ``FormalSymbol`` path clamps: homogeneous symbols are
+singular at ``xi = 0``, so frequencies with ``|xi| < 1`` take their value at
+``|xi| = 1`` (sign kept, ``sign(0) = +1``); every check lives on a cone away
+from the origin.
 
 The model is periodic while the symbol calculus lives on the line, so matrix
 identities such as ``[Op(x), Op(xi)] = i Id`` hold on *interior data*: test
@@ -31,6 +33,7 @@ __all__ = [
     "op_apply",
     "op_apply_amplitude",
     "commutator_matrix",
+    "mode_matrix",
     "commutator_residual",
     "moyal_consistency",
     "windowed_mode",
@@ -86,22 +89,24 @@ def mode_numbers(band: BandLimit) -> np.ndarray:
     return np.arange(-band.F, band.F + 1)
 
 
+def _clamp(xi: np.ndarray) -> np.ndarray:
+    """xi with |xi| < 1 replaced by its sign (sign(0) = +1)."""
+    return np.where(np.abs(xi) >= 1.0, xi, np.where(xi >= 0.0, 1.0, -1.0))
+
+
 def _symbol_field(a: FormalSymbol, K: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """a_{<=K}(x, xi) on the outer product grid, with the |xi|<1 clamp."""
     if a.dim != 1:
         raise ValueError("oracle is one-dimensional")
     if K > a.order:
         raise ValueError("truncation order exceeds symbol order")
-    sgn = np.where(xi >= 0.0, 1.0, -1.0)
-    xi_eff = np.where(np.abs(xi) >= 1.0, xi, sgn)
-    X = x[:, None] * np.ones_like(xi_eff)[None, :]
-    XI = np.ones_like(x)[:, None] * xi_eff[None, :]
+    args = [x[:, None], _clamp(xi)[None, :]]
     total = np.zeros((x.size, xi.size), dtype=complex)
     for k in range(K + 1):
         ck = a.coeffs[k]
         if ck.is_zero():
             continue
-        total = total + ex.evaluate(ck, [X, XI])
+        total = total + ex.evaluate(ck, args)
     return total
 
 
@@ -139,11 +144,9 @@ def op_apply_amplitude(a3, u: GridFunction, band: BandLimit,
     K = a3.order if K is None else K
     f = mode_numbers(band)
     xi = 2.0 * np.pi * f / u.period
-    sgn = np.where(xi >= 0.0, 1.0, -1.0)
-    xi_eff = np.where(np.abs(xi) >= 1.0, xi, sgn)
     x = u.x()
     X = x[:, None, None]
-    XI = xi_eff[None, :, None]
+    XI = _clamp(xi)[None, :, None]
     Y = x[None, None, :]
     total = np.zeros((M, f.size, M), dtype=complex)
     for k in range(K + 1):
@@ -157,6 +160,27 @@ def op_apply_amplitude(a3, u: GridFunction, band: BandLimit,
     return GridFunction(u.period, out)
 
 
+def mode_matrix(A: np.ndarray, f: np.ndarray, M: int, d: int) -> np.ndarray:
+    """Dense matrix of a periodic left quantization on the retained modes.
+
+    ``A`` broadcasts to ``(M,)*d + (n,)*d``, n = f.size: the symbol at grid
+    point m and mode f.  Entry (g, f) = M^-d sum_m A(m, f) e^{2 pi i m.(f-g)/M}
+    is the DFT of A(., f) at (g - f) mod M; rows and columns are mode
+    multi-indices in row-major order.  One ``fftn`` per index of the first
+    d - 1 mode axes, batched over the last, keeps the working set at M^d n.
+    """
+    n = f.size
+    A = np.broadcast_to(A, (M,) * d + (n,) * d)
+    shift = np.mod(f[:, None] - f[None, :], M)           # (g - f) mod M
+    out = np.empty((n,) * (2 * d), dtype=complex)
+    for lead in np.ndindex((n,) * (d - 1)):
+        hat = np.fft.fftn(A[(Ellipsis,) + lead + (slice(None),)], axes=tuple(range(d)))
+        ix = [shift[:, a].reshape((1,) * k + (n,) + (1,) * (d - k)) for k, a in enumerate(lead)]
+        ix += [shift.reshape((1,) * (d - 1) + (n, n)), np.arange(n)]
+        out[(slice(None),) * d + lead] = hat[tuple(ix)] / M**d
+    return out.reshape(n**d, n**d)
+
+
 def commutator_matrix(a: FormalSymbol, band: BandLimit, period: float,
                       M: int, K: int | None = None) -> np.ndarray:
     """Dense matrix of Op(a) on the retained modes.
@@ -166,17 +190,11 @@ def commutator_matrix(a: FormalSymbol, band: BandLimit, period: float,
     """
     band.check(M)
     f = mode_numbers(band)
-    n = f.size
-    if n > DENSE_MODE_GUARD:
+    if f.size > DENSE_MODE_GUARD:
         raise ValueError(f"dense assembly capped at {DENSE_MODE_GUARD} modes")
     K = a.order if K is None else K
-    xi = 2.0 * np.pi * f / period
     x = np.arange(M) * (period / M)
-    A = _symbol_field(a, K, x, xi)
-    # column j: DFT coefficients of x -> a(x, xi_j) e^{i x xi_j}, restricted
-    cols = A * np.exp(1j * np.outer(x, xi))
-    hat = np.fft.fft(cols, axis=0) / M
-    return hat[np.mod(f, M), :]
+    return mode_matrix(_symbol_field(a, K, x, 2.0 * np.pi * f / period), f, M, 1)
 
 
 def windowed_mode(period: float, M: int, mode: int, band: BandLimit,
@@ -200,12 +218,8 @@ def windowed_mode(period: float, M: int, mode: int, band: BandLimit,
 def commutator_residual(A: np.ndarray, B: np.ndarray, target: np.ndarray,
                         vectors: list) -> float:
     """max_v ||(AB - BA - target) v|| / ||v|| over mode-space test vectors."""
-    C = A @ B - B @ A - target
-    worst = 0.0
-    for v in vectors:
-        r = np.linalg.norm(C @ v) / np.linalg.norm(v)
-        worst = max(worst, float(r))
-    return worst
+    return max((float(np.linalg.norm(A @ (B @ v) - B @ (A @ v) - target @ v)
+                      / np.linalg.norm(v)) for v in vectors), default=0.0)
 
 
 def moyal_consistency(a: FormalSymbol, b: FormalSymbol, K: int,

@@ -401,8 +401,9 @@ def moyal_sqrt(a: FormalSymbol, K: int, box, grid_n: int = 9) -> SqrtResult:
 
     Construction: b0 = pointwise sqrt(a_0), r = (b0*)^#-1 # a # b0^#-1 - 1,
     then b = sqrt(1+r) # b0 with the square root given by the binomial Moyal
-    power series.  Term norms are monitored; a non-decreasing tail marks the
-    result as diverged instead of silently truncating.
+    power series.  Term norms are monitored; a non-decreasing tail (the last
+    term sup not below the smallest earlier one) marks the result as
+    diverged instead of silently truncating.
     """
     d = a.dim
     grid = make_grid(box, grid_n)
@@ -439,9 +440,7 @@ def moyal_sqrt(a: FormalSymbol, K: int, box, grid_n: int = 9) -> SqrtResult:
             sup_j = max(sup_j, abs(binom) * float(vals.max()))
             c_coeffs[k] = ex.add(c_coeffs[k], ex.mul(ex.const(binom), e))
         term_sups.append(sup_j)
-    diverged = any(
-        term_sups[i + 1] > term_sups[i] + 1e-12 for i in range(len(term_sups) - 1)
-    )
+    diverged = len(term_sups) > 1 and term_sups[-1] > min(term_sups[:-1]) + 1e-12
     c = FormalSymbol(d, 0.0, K, tuple(c_coeffs))
     b = moyal_product(c, b0, K)
     return SqrtResult(b, term_sups, diverged)

@@ -190,3 +190,109 @@ def test_adjoint_against_matrix_dagger():
     C = A.conj().T - Astar
     worst = max(float(np.linalg.norm(C @ v) / np.linalg.norm(v)) for v in vecs)
     assert worst <= 1e-8
+
+
+def _brute_force_matrix(a, x, xi, xi_sym, M, d):
+    """sum_m a(x_m, xi_f) e^{i x_m.(xi_f - xi_g)} / M^d by a direct double sum.
+
+    ``x``/``xi`` are the coordinate and frequency axes, ``xi_sym`` the
+    frequencies the symbol sees; ``a`` takes d position and d frequency
+    arrays of equal shape."""
+    pts = np.stack([c.ravel() for c in np.meshgrid(*[x] * d, indexing="ij")])
+    modes = np.stack([c.ravel() for c in np.meshgrid(*[xi] * d, indexing="ij")])
+    syms = np.stack([c.ravel() for c in np.meshgrid(*[xi_sym] * d, indexing="ij")])
+    n = modes.shape[1]
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        col = a(*pts, *[np.full(pts.shape[1], s) for s in syms[:, j]])
+        for i in range(n):
+            out[i, j] = np.sum(col * np.exp(1j * (modes[:, j] - modes[:, i]) @ pts)) / M**d
+    return out
+
+
+def test_commutator_matrix_against_brute_force_sum():
+    Mb, band, Lb = 16, BandLimit(3), 5.0
+    a = FormalSymbol(1, 1.0, 0, (ex.add(ex.mul(ex.cos(X), XI), ex.mul(X, X), ex.sin(ex.mul(X, XI))),))
+    xi = 2 * np.pi * mode_numbers(band) / Lb
+    xi_sym = np.where(np.abs(xi) >= 1.0, xi, np.where(xi >= 0, 1.0, -1.0))  # |xi| < 1 clamp
+    want = _brute_force_matrix(lambda x, s: np.cos(x) * s + x * x + np.sin(x * s),
+                               np.arange(Mb) * (Lb / Mb), xi, xi_sym, Mb, 1)
+    got = commutator_matrix(a, band, Lb, Mb)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_quantize2d_op_matrix_against_brute_force_sum():
+    from microlocal.normalform import Quantize2D
+
+    q = Quantize2D(M=16, band=3)
+    x, y, s, t = (ex.var(i) for i in range(4))
+    sym = ex.add(ex.mul(ex.cos(x), s, t), ex.mul(y, ex.powi(t, 2)), ex.mul(x, y, s), ex.sin(y))
+    xs = np.arange(16) * (q.L / 16)
+    xs = np.where(xs >= q.L / 2, xs - q.L, xs)  # centered sawtooth
+    xi = 2 * np.pi * np.arange(-3, 4) / q.L
+    want = _brute_force_matrix(
+        lambda x1, x2, s1, s2: np.cos(x1) * s1 * s2 + x2 * s2**2 + x1 * x2 * s1 + np.sin(x2),
+        xs, xi, xi, 16, 2)
+    got = q.op_matrix(sym)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dense_guards_fail_before_building_fields():
+    import tracemalloc
+
+    from microlocal.normalform import Quantize2D
+
+    axi = FormalSymbol(1, 1.0, 0, (XI,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            commutator_matrix(axi, BandLimit(3000), L, 8192)  # 6001 modes > 4096
+        with pytest.raises(ValueError):
+            Quantize2D(M=256, band=100)  # 201^2 modes > 4096
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def _moyal_eps_2d():
+    """eps_k = max_v ||Op(a)Op(b)v - Op((a#b)_{<=k})v|| / ||v|| on the 2D grid,
+    a_0 = xi1 xi2 + xi1^2, b_0 = sin(w x1) cos(w x2), over the windowed
+    vectors of the 2D commutator check."""
+    from microlocal.normalform import Quantize2D
+    from microlocal.symbols import moyal_product
+
+    q = Quantize2D()
+    w = 2 * np.pi / q.L
+    x1, x2, s1, s2 = (ex.var(i) for i in range(4))
+    a = FormalSymbol(2, 2.0, 2, (ex.add(ex.mul(s1, s2), ex.powi(s1, 2)), ex.ZERO, ex.ZERO))
+    b = FormalSymbol(2, 0.0, 2, (ex.mul(ex.sin(ex.mul(w, x1)), ex.cos(ex.mul(w, x2))),
+                                 ex.ZERO, ex.ZERO))
+    c = moyal_product(a, b, 2)
+    A, B = q.op_matrix(a.coeffs[0]), q.op_matrix(b.coeffs[0])
+    vecs = [q.windowed_vector(mx, my) for mx, my in ((1, 2), (-2, 1), (3, -1), (0, 3))]
+    lhs = [A @ (B @ v) for v in vecs]
+    rhs = [np.zeros_like(v) for v in vecs]
+    eps = []
+    for ck in c.coeffs:
+        Ck = q.op_matrix(ck)
+        rhs = [r + Ck @ v for r, v in zip(rhs, vecs)]
+        eps.append(max(float(np.linalg.norm(p - r) / np.linalg.norm(v))
+                       for p, r, v in zip(lhs, rhs, vecs)))
+    return eps
+
+
+def test_moyal_consistency_2d():
+    eps = _moyal_eps_2d()
+    assert eps[0] > eps[1] > eps[2]
+    assert eps[2] <= 1e-12
+
+
+def test_moyal_consistency_2d_catches_wrong_star_phase(monkeypatch):
+    from microlocal import symbols
+    from microlocal.multiindex import factorial_multi
+
+    monkeypatch.setattr(symbols, "_weight",
+                        lambda beta: ex.const(1j ** sum(beta) / factorial_multi(beta)))
+    eps = _moyal_eps_2d()
+    assert eps[2] > 1e-3

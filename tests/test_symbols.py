@@ -218,6 +218,38 @@ def test_moyal_sqrt_selfconsistency():
     assert grid_residual(lhs, a, BOX4) <= 1e-8
 
 
+# An order-0 elliptic symbol whose binomial series has term sups
+# 0.525, 0.229, 0.244, 0.047: one bump, then convergence.
+_BUMPY = """symbol d=1 d0=0.0 K=4
+(+ 1.050059095420528 (* 0.22058762101163576 (sin (+ 2.1544354808865376 (* 0.9375544324645715 (v 0))))) (* 0.024411142321981952 (pow (v 0) 2)))
+(/ (+ (* -0.3837868671905392 (cos (* 1.2121581051145334 (v 0)))) (* 0.3677957509039248 (v 0))) (norm (v 1)))
+(/ (+ (* -0.283736683636978 (cos (* 0.932372551274836 (v 0)))) (* -0.26649045428193374 (v 0))) (pow (norm (v 1)) 2))
+(/ (+ (* -0.2538147749424348 (cos (* 0.711807994567063 (v 0)))) (* -0.25827951996715526 (v 0))) (pow (norm (v 1)) 3))
+(/ (+ (* -0.3341075880133887 (cos (* 0.92119367404592 (v 0)))) (* 0.1682047012024135 (v 0))) (pow (norm (v 1)) 4))
+"""
+BOX_BUMPY = ((-2.0, 2.0), (1.0, 2.0))
+
+
+def test_moyal_sqrt_converging_series_with_a_bump_is_not_diverged():
+    raw = load_symbol(_BUMPY)
+    a = FormalSymbol(1, 0.0, 4, tuple(  # self-adjoint part (raw + raw*)/2
+        ex.mul(0.5, ex.add(p, q)) for p, q in zip(raw.coeffs, adjoint_symbol(raw).coeffs)))
+    r = moyal_sqrt(a, 4, BOX_BUMPY)
+    assert np.allclose(r.term_sups, [0.5246969, 0.2294307, 0.2439526, 0.0473712], rtol=1e-6)
+    assert not r.diverged
+    lhs = moyal_product(adjoint_symbol(r.symbol), r.symbol, 2)
+    a2 = FormalSymbol(1, 0.0, 2, a.coeffs[:3])
+    assert grid_residual(lhs, a2, BOX_BUMPY) <= 1e-10
+
+
+def test_moyal_sqrt_flags_growing_series():
+    # r = 5/|xi| on |xi| in [1, 2]: the binomial terms grow with j
+    a = FormalSymbol(1, 0.0, 4, (ex.ONE, ex.div(5.0, ex.norm(XI)), ex.ZERO, ex.ZERO, ex.ZERO))
+    r = moyal_sqrt(a, 4, BOX)
+    assert all(s1 > s0 for s0, s1 in zip(r.term_sups, r.term_sups[1:]))
+    assert r.diverged
+
+
 def test_moyal_sqrt_rejects_nonpositive():
     a = FormalSymbol(1, 0.0, 1, (ex.const(-1.0), ex.ZERO))
     with pytest.raises(ValueError):

@@ -121,7 +121,7 @@ class Expr:
             pl = self.payload
             if isinstance(pl, complex):
                 pl = ("c", pl.real, pl.imag)
-            k = (self.kind, pl, tuple(c.key() for c in self.children))
+            k = (self.kind, pl, tuple(map(Expr.key, self.children)))
             object.__setattr__(self, "_key", k)
         return k
 

@@ -9,25 +9,25 @@ full double precision (up to truncated-series conditioning).
 
 All arithmetic is complex.  :func:`jet_from_expr` returns the coefficient
 array ``(n_idx,)`` of one center; :func:`jet_batch_from_expr` evaluates one
-expression at many centers at once, and its coefficients carry a trailing
-batch axis.
+expression, or a sequence of them, at many centers at once, and its
+coefficients carry a trailing batch axis.
+
+A product is one gather and one segment sum over the target-sorted
+:func:`microlocal.multiindex.mul_table`; a quotient solves that table degree
+by degree.  A call propagates each subtree that recurs (by structural
+equality, also across a sequence) once and drops its jet after its last use,
+so one array may serve several nodes: jets are read-only once computed.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .multiindex import (
-    count,
-    div_lists,
-    factorial_multi,
-    index_of,
-    mul_table,
-    multi_indices,
-)
+from .multiindex import count, factorial_multi, index_of, mul_table, multi_indices
 
 __all__ = ["jet_from_expr", "jet_batch_from_expr"]
 
@@ -42,22 +42,20 @@ def _zero(dim, order, batch):
 
 
 def _jmul(a, b, dim, order):
-    ia, ib, ic = mul_table(dim, order)
-    out = np.zeros_like(a)
-    np.add.at(out, ic, a[ia] * b[ib])
-    return out
+    ia, ib, _, starts = mul_table(dim, order)
+    return np.add.reduceat(a[ia] * b[ib], starts[:-1], axis=0)
 
 
 def _jdiv(a, b, dim, order):
-    # the caller has checked b's constant term with expr.check_domain
-    b0 = b[0]
-    lists = div_lists(dim, order)
+    # b_0 c_q = a_q - sum_{beta != 0} b_beta c_{q-beta}, one degree's run of the product
+    # table at a time (its beta = 0 triples meet c_q still zero); the caller checked b_0.
+    ia, ib, _, starts = mul_table(dim, order)
     out = np.zeros_like(a)
-    for ic, rows in enumerate(lists):
-        acc = a[ic].copy()
-        for ib, irem in rows:
-            acc -= b[ib] * out[irem]
-        out[ic] = acc / b0
+    for deg in range(order + 1):
+        lo, hi = count(dim, deg - 1), count(dim, deg)
+        t0, t1 = starts[lo], starts[hi]
+        s = np.add.reduceat(out[ia[t0:t1]] * b[ib[t0:t1]], starts[lo:hi] - t0, axis=0)
+        out[lo:hi] = (a[lo:hi] - s) / b[0]
     return out
 
 
@@ -137,15 +135,38 @@ def _compose_unary(kind, a, dim, order, p):
     return _compose_series(fk, w, dim, order)
 
 
-def _propagate(e: ex.Expr, centers: np.ndarray, dim: int, order: int):
-    """Forward jet propagation; centers has shape (dim,) + batch."""
+def _shared(roots) -> dict:
+    """``{subtree: [uses, None]}`` for each subtree reached more than once:
+    per root occurrence and per child slot of each distinct parent (a shared
+    parent is propagated once).  Iterative, so it adds no depth."""
+    uses = {}
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        n = uses.get(e, 0)
+        uses[e] = n + 1
+        if not n:
+            stack.extend(e.children)
+    return {e: [n, None] for e, n in uses.items() if n > 1}
+
+
+def _propagate(e: ex.Expr, centers: np.ndarray, dim: int, order: int, memo: dict):
+    """Forward jet propagation; centers has shape (dim,) + batch.  ``memo``
+    (:func:`_shared`'s, or ``{}`` for none) holds a shared subtree's jet from
+    its first use to its last, looked up here to keep one frame per level."""
+    hit = memo.get(e) if memo else None
+    if hit is not None:
+        hit[0] -= 1
+        if hit[1] is not None:
+            if not hit[0]:
+                del memo[e]
+            return hit[1]
     batch = centers.shape[1:]
     k = e.kind
     if k == "const":
         out = _zero(dim, order, batch)
         out[0] = e.payload
-        return out
-    if k == "var":
+    elif k == "var":
         ex.check_var(e, dim)
         i = e.payload
         out = _zero(dim, order, batch)
@@ -153,34 +174,35 @@ def _propagate(e: ex.Expr, centers: np.ndarray, dim: int, order: int):
         if order >= 1:
             unit = tuple(1 if j == i else 0 for j in range(dim))
             out[index_of(unit, order)] = 1.0
-        return out
-    if k == "add":
-        out = _propagate(e.children[0], centers, dim, order)
+    elif k == "add":
+        out = _propagate(e.children[0], centers, dim, order, memo)
         for c in e.children[1:]:
-            out = out + _propagate(c, centers, dim, order)
-        return out
-    if k == "mul":
-        out = _propagate(e.children[0], centers, dim, order)
+            out = out + _propagate(c, centers, dim, order, memo)
+    elif k == "mul":
+        out = _propagate(e.children[0], centers, dim, order, memo)
         for c in e.children[1:]:
-            out = _jmul(out, _propagate(c, centers, dim, order), dim, order)
-        return out
-    if k == "norm":
+            out = _jmul(out, _propagate(c, centers, dim, order, memo), dim, order)
+    elif k == "norm":
         s = None
         for c in e.children:
-            jc = _propagate(c, centers, dim, order)
+            jc = _propagate(c, centers, dim, order, memo)
             sq = _jmul(jc, jc, dim, order)
             s = sq if s is None else s + sq
         ex.check_domain(e, np.sqrt(s[0]))
-        return _compose_unary("powr", s, dim, order, 0.5)
-    a = _propagate(e.children[0], centers, dim, order)
-    if k == "div":
-        b = _propagate(e.children[1], centers, dim, order)
-        ex.check_domain(e, b[0])
-        return _jdiv(a, b, dim, order)
-    ex.check_domain(e, a[0])
-    if k == "powi":
-        return _jpowi(a, e.payload, dim, order)
-    return _compose_unary(k, a, dim, order, e.payload)
+        out = _compose_unary("powr", s, dim, order, 0.5)
+    else:
+        a = _propagate(e.children[0], centers, dim, order, memo)
+        if k == "div":
+            b = _propagate(e.children[1], centers, dim, order, memo)
+            ex.check_domain(e, b[0])
+            out = _jdiv(a, b, dim, order)
+        else:
+            ex.check_domain(e, a[0])
+            out = (_jpowi(a, e.payload, dim, order) if k == "powi"
+                   else _compose_unary(k, a, dim, order, e.payload))
+    if hit is not None:
+        hit[1] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +218,25 @@ def jet_from_expr(e: ex.Expr, center, order: int) -> np.ndarray:
     :class:`microlocal.expr.DomainError` naming the offending node.
     """
     center = np.asarray(center, dtype=complex).reshape(-1, 1)
-    return _propagate(e, center, center.shape[0], int(order))[:, 0]
+    return _propagate(e, center, center.shape[0], int(order), _shared([e]))[:, 0]
 
 
-def jet_batch_from_expr(e: ex.Expr, centers, order: int) -> np.ndarray:
+def jet_batch_from_expr(e: ex.Expr | Sequence[ex.Expr], centers,
+                        order: int) -> np.ndarray | list[np.ndarray]:
     """Jet coefficients of ``e`` at many centers.
 
     ``centers`` has shape (dim, B); the result has shape (n_idx, B) in the
-    graded-lexicographic layout.
+    graded-lexicographic layout.  ``e`` may also be a sequence of Exprs:
+    the result is then a list with one such array per expression, and a
+    subtree they share is propagated once for all of them.
     """
     centers = np.asarray(centers, dtype=complex)
     if centers.ndim != 2:
         raise ValueError("centers must have shape (dim, B)")
-    dim = centers.shape[0]
-    return _propagate(e, centers, dim, int(order))
+    roots = [e] if isinstance(e, ex.Expr) else list(e)
+    memo = _shared(roots)
+    out = [_propagate(r, centers, centers.shape[0], int(order), memo) for r in roots]
+    return out[0] if isinstance(e, ex.Expr) else out
 
 
 def gradient_norms(coeffs: np.ndarray, dim: int, order: int) -> np.ndarray:

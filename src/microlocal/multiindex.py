@@ -63,10 +63,12 @@ def factorial_multi(alpha) -> float:
 
 @lru_cache(maxsize=None)
 def mul_table(dim: int, order: int):
-    """Index triples (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic.
+    """Index triples (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic, and starts.
 
-    Used for truncated Taylor multiplication: c[ic] += a[ia] * b[ib] over all
-    triples.  Returned as three int arrays.
+    Used for truncated Taylor multiplication: c[ic] = sum of a[ia] * b[ib]
+    over the segment starts[ic]:starts[ic + 1] of target ic.  The triples
+    are stably sorted by ic, so a segment lists its pairs by ascending ia and
+    ends with the pair (ic, 0).  Returned as four int arrays.
     """
     idx = multi_indices(dim, order)
     imap = _index_map(dim, order)
@@ -80,25 +82,7 @@ def mul_table(dim: int, order: int):
             ia.append(i)
             ib.append(j)
             ic.append(imap[c])
-    return np.array(ia), np.array(ib), np.array(ic)
-
-
-@lru_cache(maxsize=None)
-def div_lists(dim: int, order: int):
-    """For each target index ic: list of (ibeta, ic_minus_beta) with beta != 0.
-
-    Supports the graded triangular solve in jet division.
-    """
-    idx = multi_indices(dim, order)
-    imap = _index_map(dim, order)
-    out = []
-    for c in idx:
-        rows = []
-        for b, ib in imap.items():
-            if sum(b) == 0:
-                continue
-            if all(bb <= cc for bb, cc in zip(b, c)):
-                rem = tuple(cc - bb for cc, bb in zip(c, b))
-                rows.append((ib, imap[rem]))
-        out.append(tuple(rows))
-    return tuple(out)
+    perm = np.argsort(ic, kind="stable")
+    ic = np.array(ic)[perm]
+    starts = np.searchsorted(ic, np.arange(len(idx) + 1))
+    return np.array(ia)[perm], np.array(ib)[perm], ic, starts

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -246,12 +247,10 @@ def js_norm(b: JetSymbol, p: JSNormParams, k_list=None) -> dict:
     A = p.max_deriv
     idx = multi_indices(3, A)
     per_k = {}
-    for (k, n), e in b.coeffs.items():
-        if k_list is not None and k not in k_list:
-            continue
-        if e.is_zero():
-            continue
-        coeffs = jet_batch_from_expr(e, grid, A)
+    kn = [(k, n) for (k, n), e in b.coeffs.items()
+          if (k_list is None or k in k_list) and not e.is_zero()]
+    jets = jet_batch_from_expr([b.coeffs[key] for key in kn], grid, A)
+    for (k, n), coeffs in zip(kn, jets):
         best = per_k.get(k, 0.0)
         for i, alpha in enumerate(idx):
             aa = sum(alpha)
@@ -322,7 +321,8 @@ def stability_sweep(seeds, K: int = 3, N: int = 6, m: float = 8.0,
 
 
 class Quantize2D:
-    """The 2D grid of :func:`microlocal.quantize.mode_matrix`: a choice of grid only.
+    """The 2D grid of :func:`microlocal.quantize.mode_matrix`, and the model
+    operator's matrix on it, built on first use.
 
     Model plane (x_j, y_1) with dual modes (xi, eta); coordinates are
     centered (sawtooth x in [-L/2, L/2)) so interior test data sits at the
@@ -352,6 +352,11 @@ class Quantize2D:
                                  xi[None, None, :, None], xi[None, None, None, :]])
         return mode_matrix(A, self.f, self.M, 2)
 
+    @cached_property
+    def model_matrix(self) -> np.ndarray:
+        """Op(model_symbol()) on the retained modes, built once per grid."""
+        return self.op_matrix(model_symbol())
+
     def windowed_vector(self, mode_x: int, mode_y: int,
                         rel_width: float = 1.0 / 15.0) -> np.ndarray:
         """Mode-coefficient vector of an interior 2D windowed wave."""
@@ -374,7 +379,6 @@ def commutator_check(b: ex.Expr, oracle: Quantize2D | None = None,
     relative residual over interior windowed test vectors.
     """
     q = oracle or Quantize2D()
-    D0 = q.op_matrix(model_symbol())
     B = q.op_matrix(b)
     side = ex.add(
         ex.mul(ex.const(-1j), ex.diff(b, VX)),
@@ -383,6 +387,6 @@ def commutator_check(b: ex.Expr, oracle: Quantize2D | None = None,
     )
     S = q.op_matrix(side)
     vectors = [q.windowed_vector(mx, my) for mx, my in test_modes]
-    worst = commutator_residual(D0, B, S, vectors)
+    worst = commutator_residual(q.model_matrix, B, S, vectors)
     return {"residual": worst, "band": q.F, "M": q.M, "period": q.L,
             "side_symbol": ex.format_sexpr(side)}

@@ -94,8 +94,8 @@ def _clamp(xi: np.ndarray) -> np.ndarray:
     return np.where(np.abs(xi) >= 1.0, xi, np.where(xi >= 0.0, 1.0, -1.0))
 
 
-def _symbol_field(a: FormalSymbol, K: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """a_{<=K}(x, xi) on the outer product grid, with the |xi|<1 clamp."""
+def _symbol_fields(a: FormalSymbol, K: int, x: np.ndarray, xi: np.ndarray):
+    """Yield a_{<=k}(x, xi), k = 0..K, as :func:`_symbol_field`, in one array summed in place."""
     if a.dim != 1:
         raise ValueError("oracle is one-dimensional")
     if K > a.order:
@@ -104,9 +104,15 @@ def _symbol_field(a: FormalSymbol, K: int, x: np.ndarray, xi: np.ndarray) -> np.
     total = np.zeros((x.size, xi.size), dtype=complex)
     for k in range(K + 1):
         ck = a.coeffs[k]
-        if ck.is_zero():
-            continue
-        total = total + ex.evaluate(ck, args)
+        if not ck.is_zero():
+            total += ex.evaluate(ck, args)
+        yield total
+
+
+def _symbol_field(a: FormalSymbol, K: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """a_{<=K}(x, xi) on the outer product grid, with the |xi|<1 clamp."""
+    for total in _symbol_fields(a, K, x, xi):
+        pass
     return total
 
 
@@ -239,9 +245,15 @@ def moyal_consistency(a: FormalSymbol, b: FormalSymbol, K: int,
     lhs = op_apply(a, op_apply(b, u, band), band)
     c = moyal_product(a, b, K)
     u2 = u.norm2()
+    f = mode_numbers(band)
+    xi = 2.0 * np.pi * f / u.period
+    x = u.x()
+    uf = uhat[np.mod(f, M)]
+    E = np.exp(1j * np.outer(x, xi))
     eps = []
-    for k in range(K + 1):
-        rhs = op_apply(c, u, band, K=k)
+    # the truncations Op(c_{<=k})u of op_apply, sharing fields and phases
+    for A in _symbol_fields(c, K, x, xi):
+        rhs = GridFunction(u.period, (A * E) @ uf / M)
         eps.append(float(
             np.sqrt(np.sum(np.abs(lhs.values - rhs.values) ** 2) / M) / u2
         ))

@@ -187,11 +187,9 @@ def estimate_norm(a: FormalSymbol, p: NormParams) -> NormEstimate:
     A = p.max_deriv
     idx = multi_indices(a.nvars, A)
     best = NormEstimate(0.0, p.rho, p.R, p.m, 0, (0,) * a.nvars, tuple())
-    for k in range(kmax + 1):
-        ck = a.coeffs[k]
-        if ck.is_zero():
-            continue
-        coeffs = jet_batch_from_expr(ck, grid, A)
+    ks = [k for k in range(kmax + 1) if not a.coeffs[k].is_zero()]
+    jets = jet_batch_from_expr([a.coeffs[k] for k in ks], grid, A)
+    for k, coeffs in zip(ks, jets):
         for i, alpha in enumerate(idx):
             aa = sum(alpha)
             weight = (1.0 + k + aa) ** p.m / (

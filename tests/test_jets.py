@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from microlocal import expr as ex
-from microlocal.jets import jet_from_expr
-from microlocal.multiindex import count, factorial_multi, index_of, multi_indices
+from microlocal import jets
+from microlocal.jets import jet_batch_from_expr, jet_from_expr
+from microlocal.multiindex import count, factorial_multi, index_of, mul_table, multi_indices
+from microlocal.symbols import FormalSymbol, moyal_sqrt
 
 
 def _derivative(j, alpha, order):
@@ -178,3 +180,111 @@ def test_jet_matches_diff_for_every_kind(kind):
             want = complex(ex.evaluate(d, list(center))) / factorial_multi(alpha)
             got = j[index_of(alpha, order)]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (alpha, center)
+
+
+# -- reference kernels: the scatter product and the triangular division loop --
+
+
+def _jmul_scatter(a, b, dim, order):
+    ia, ib, ic, _ = mul_table(dim, order)
+    out = np.zeros_like(a)
+    np.add.at(out, ic, a[ia] * b[ib])
+    return out
+
+
+def _div_lists(dim, order):
+    """For each target index ic: list of (ibeta, ic_minus_beta) with beta != 0."""
+    idx = multi_indices(dim, order)
+    imap = {a: i for i, a in enumerate(idx)}
+    out = []
+    for c in idx:
+        rows = []
+        for b, ib in imap.items():
+            if sum(b) == 0:
+                continue
+            if all(bb <= cc for bb, cc in zip(b, c)):
+                rem = tuple(cc - bb for cc, bb in zip(c, b))
+                rows.append((ib, imap[rem]))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def _jdiv_loop(a, b, dim, order):
+    b0 = b[0]
+    lists = _div_lists(dim, order)
+    out = np.zeros_like(a)
+    for ic, rows in enumerate(lists):
+        acc = a[ic].copy()
+        for ib, irem in rows:
+            acc -= b[ib] * out[irem]
+        out[ic] = acc / b0
+    return out
+
+
+@pytest.mark.parametrize("dim, order, batch", [(1, 6, 3), (2, 4, 25), (3, 4, 90), (3, 8, 1)])
+def test_product_and_quotient_match_reference_kernels(dim, order, batch):
+    rng = np.random.default_rng(dim * 100 + order)
+    n = count(dim, order)
+
+    def jet():
+        return rng.standard_normal((n, batch)) + 1j * rng.standard_normal((n, batch))
+    a, b = jet(), jet()
+    b[0] += 4.0
+    for got, want in ((jets._jmul(a, b, dim, order), _jmul_scatter(a, b, dim, order)),
+                      (jets._jdiv(a, b, dim, order), _jdiv_loop(a, b, dim, order))):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    back = jets._jdiv(jets._jmul(a, b, dim, order), b, dim, order)
+    assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
+
+
+def _swollen_coeffs():
+    x, nx = ex.var(0), ex.norm(ex.var(1))
+    a = FormalSymbol(1, 0.0, 4, (ex.add(1.2, ex.mul(0.2, ex.sin(x))),
+                                 ex.div(ex.mul(0.3, ex.cos(x)), nx),
+                                 ex.div(x, ex.powi(nx, 2)), ex.ZERO, ex.ZERO))
+    return moyal_sqrt(a, 4, ((-2.0, 2.0), (1.0, 2.0))).symbol.coeffs
+
+
+_CENTERS = np.array([[0.3, -0.5, 1.1], [1.2, 1.7, -1.4]], dtype=complex)
+
+
+def test_shared_subtrees_propagate_bit_identically():
+    coeffs = _swollen_coeffs()
+    memo = jets._shared(coeffs)
+    assert memo  # the square root's coefficients share subtrees
+    shared = [jets._propagate(e, _CENTERS, 2, 2, memo) for e in coeffs]
+    assert memo == {}  # every counted use was taken, every jet dropped
+    plain = [jets._propagate(e, _CENTERS, 2, 2, {}) for e in coeffs]
+    seq = jet_batch_from_expr(coeffs, _CENTERS, 2)
+    assert isinstance(seq, list) and len(seq) == len(coeffs)
+    for s, p, q in zip(shared, plain, seq):
+        assert s.tobytes() == p.tobytes() == q.tobytes()
+    for e, q in zip(coeffs, seq):
+        assert jet_batch_from_expr(e, _CENTERS, 2).tobytes() == q.tobytes()
+
+
+def test_returned_jets_are_not_reused():
+    x = ex.var(0)
+    e = ex.add(ex.sin(x), ex.mul(ex.sin(x), ex.cos(x)))
+    first = jet_batch_from_expr([e, ex.sin(x), x], _CENTERS[:1], 3)
+    want = [j.copy() for j in jet_batch_from_expr([e, ex.sin(x), x], _CENTERS[:1], 3)]
+    for j in first:
+        j *= 7.0
+    again = jet_batch_from_expr([e, ex.sin(x), x], _CENTERS[:1], 3)
+    for j, w in zip(again, want):
+        assert j.tobytes() == w.tobytes()
+
+
+def test_deep_chain_propagates():
+    # one frame per tree level in Expr.key and the propagation: a chain 800
+    # deep stays below the default recursion limit of 1000
+    e = ex.var(0)
+    for _ in range(800):
+        e = ex.sin(e)
+    center = np.array([[0.1, 0.2]])
+    j = jet_from_expr(e, [0.1], 2)
+    assert j.shape == (3,)
+    assert np.array_equal(jet_batch_from_expr(e, center, 2)[:, 0], j)
+    assert np.array_equal(jet_batch_from_expr([e, e.children[0]], center, 2)[0][:, 0], j)
+    assert ex.evaluate(e, [np.array([0.1])])[0] == j[0]

@@ -473,7 +473,7 @@ def verify_all(suite: str = "fast", printer=print,
                statphase_scale: float = 1.0) -> dict:
     """Run the acceptance battery; returns a summary dict.
 
-    ``fast`` keeps every criterion but trims corpus sizes (about a minute);
+    ``fast`` keeps every criterion but trims corpus sizes (a few seconds);
     ``full`` runs the complete battery at the shipped tolerances.
     ``statphase_scale`` rescales the stationary-phase certificate bound
     (the negative-test hook; a sufficiently small scale makes C7 fail and

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import exp1, ive
+from scipy.special import exp1, i0e, ive
 
 from microlocal import cylinder
 from microlocal.cylinder import (
@@ -134,6 +134,63 @@ def test_szego1_batch_matches_sech_over_reproduce_range():
     assert np.max(np.abs(K - ref) / np.abs(ref)) <= 1e-8
 
 
+# The former n = 1 kernel, a panel quadrature of the paper's Fourier integral
+# (moved verbatim from the package, which now returns the closed form).
+def _szego1_batch(v: np.ndarray) -> np.ndarray:
+    """n = 1 kernel via the two-sided exponential split.
+
+    K(v) = (1/2pi) [ 1/(2+iv) + 1/(2-iv)
+                     + int_-oo^0 e^{i v xi} (B - e^{2 xi}) d xi
+                     + int_0^oo  e^{i v xi} (B - e^{-2 xi}) d xi ],
+    B(xi) = 1 / (2 cosh 2 xi).  The subtracted pieces decay like e^{-6|xi|}
+    against growth at most e^{2|xi|}, so a fixed finite window suffices for
+    every admissible v (|Im v| < 2).
+
+    The window [0, 12] is cut into P equal panels of width h with 12 Gauss
+    nodes each, so every node is xi = m_p + (h/2) x_j with m_p a panel
+    midpoint, and e^{i V xi} = e^{i V m_p} e^{i V h x_j / 2} for V = +-v.  The
+    sum over the nodes of a panel is a (2N, 12) by (12, P) matrix product with
+    the table R[p, j] = (B - e^{-2 xi}) w, so a batch of N points takes
+    2N (12 + P) complex exponentials instead of 2N 12 P.
+    """
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    vmax = float(np.max(np.abs(v.real))) if v.size else 1.0
+    n_panels = max(24, int(3 + vmax * 12.0 / (2 * math.pi)))
+    h = 12.0 / n_panels
+    mid = h * (np.arange(n_panels) + 0.5)
+    x, wx = np.polynomial.legendre.leggauss(12)
+    xi = mid[:, None] + (0.5 * h) * x
+    R = (1.0 / (2.0 * np.cosh(2.0 * xi)) - np.exp(-2.0 * xi)) * (0.5 * h) * wx
+    V = np.concatenate([v, -v])
+    both = (np.exp(1j * np.outer(V, mid)) * (np.exp(1j * np.outer(V, (0.5 * h) * x)) @ R.T)).sum(axis=1)
+    integral = both[:v.size] + both[v.size:]
+    poles = 1.0 / (2.0 + 1j * v) + 1.0 / (2.0 - 1j * v)
+    return (poles + integral) / (2.0 * math.pi)
+
+
+def test_szego1_closed_form_matches_fourier_integral():
+    # the closed form against the paper's integral over C2's reproduce range
+    re = np.linspace(-21.0, 21.0, 169)
+    im = np.linspace(-1.99, 1.99, 9)
+    v = (re[:, None] + 1j * im[None, :]).ravel()
+    K = szego_kernel_batch(1, v[None, :])
+    ref = _szego1_batch(v)
+    assert np.max(np.abs(K - ref) / np.abs(ref)) <= 1e-8
+
+
+def test_szego1_closed_form_finite_far_out():
+    # plain np.cosh overflows at |Re v| = 2000, where the kernel underflows to 0
+    v = np.array([2000.0, -2000.0, 2000.0 + 1.5j, -2000.0 - 1.99j])
+    u = np.array([600.0 - 1.0j, -600.0 + 1.0j, -600.0 - 1.9j])  # cosh still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        K = szego_kernel_batch(1, v[None, :])
+        K_u = szego_kernel_batch(1, u[None, :])
+    assert np.all(np.isfinite(K)) and np.all(np.abs(K) <= 1e-300)
+    ref = 0.125 / np.cosh(math.pi * u / 4.0)
+    assert np.max(np.abs(K_u - ref) / np.abs(ref)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_conjugate_symmetry(n):
     rng = np.random.default_rng(n)
@@ -258,6 +315,26 @@ def test_szego2_matches_shared_node_reference(seed, r_lo):
     assert np.all(np.abs(K - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
 
 
+def _szego2_smalls_84(s: np.ndarray) -> np.ndarray:
+    """The former small-s rule: 84 panels of width 1/3 on [0, 28] with 12
+    Gauss nodes each (copied verbatim as a reference)."""
+    from microlocal.quadrature import gauss_panels
+
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    r, w = gauss_panels(np.linspace(1e-9, 28.0, 85), 12)
+    integrand = r * ive(0, np.outer(s, r)) * np.exp(-np.outer(2.0 - s.real, r)) / i0e(2.0 * r)
+    return (integrand @ w) / (2.0 * math.pi) ** 2
+
+
+def test_szego2_smalls_matches_finer_rule():
+    rng = np.random.default_rng(22)
+    s = 0.3 * np.sqrt(rng.uniform(0.0, 1.0, 198)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 198))
+    s = np.concatenate([s, [0.299j, -0.299j]])
+    K = cylinder._szego2_smalls(s)
+    ref = _szego2_smalls_84(s)
+    assert np.max(np.abs(K - ref) / np.abs(ref)) <= 1e-13
+
+
 def test_szego3_against_polygamma():
     # K = (2 pi)^-3 (4/s) (psi''((2+s)/4) - psi''((2-s)/4)) / 128
     mpmath = pytest.importorskip("mpmath")
@@ -287,7 +364,8 @@ def test_szego2_against_mpmath_radial_quadrature(s):
 
 
 @pytest.mark.parametrize("s, tol", [
-    (0.9134405281144331 + 8.942864046360778j, 1e-8),  # |Im s| > 3.25: log grid ends below 4
+    (0.9134405281144331 + 8.942864046360778j, 1e-8),  # |Im s| > 3.25: the head [0, r0] ends below 4
+    (0.0065869956049648 - 10.349194426017045j, 1e-10),  # slowest decay, |Im s| > 3.25
     (0.25 + 0.1j, 1e-12),  # |s| < 0.3: the small-s window [0, 28]
     (0.05 - 0.2j, 1e-12),
 ])

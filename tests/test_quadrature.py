@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microlocal.quadrature import gauss_panels
+from microlocal.quadrature import gauss_panels, gauss_rule
 
 
 def _panel_loop(edges, order):
@@ -44,3 +44,15 @@ def test_exact_for_polynomials(order):
         p = np.polynomial.Polynomial(rng.uniform(0.5, 1.5, deg + 1))
         exact = p.integ()(2.0)
         assert abs(np.sum(p(x) * w) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("order", [1, 10, 12, 16])
+def test_gauss_rule_is_leggauss_read_only(order):
+    x, w = gauss_rule(order)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+    assert x.tobytes() == x_ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
+    assert gauss_rule(order)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
